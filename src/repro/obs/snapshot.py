@@ -89,7 +89,16 @@ def recorder_snapshot(rec: Recorder) -> dict:
 
 
 def snapshot(meta: Optional[dict] = None) -> dict:
-    """Snapshot every live recorder, grouped by normalized name."""
+    """Snapshot every live recorder, grouped by normalized name.
+
+    "Live" is decided by refcounting, not by the cyclic collector: the
+    simulator's per-event objects form no reference cycles
+    (docs/PERFORMANCE.md §1), so a recorder not held by
+    :func:`~repro.metrics.recorder.start_collection` disappears the
+    moment its owner is freed (for example, at socket close), not at
+    the next garbage collection.  The snapshot of a run is therefore
+    the same whether or when the collector ran.
+    """
     groups: dict[str, list[Recorder]] = {}
     for rec in iter_recorders():
         groups.setdefault(group_name(rec.name), []).append(rec)

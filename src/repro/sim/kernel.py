@@ -215,12 +215,9 @@ class Simulator:
             self.tracer.enabled and self.tracer.kernel_events)
         #: the process currently being resumed (tracks span ownership)
         self.active_process = None
+        #: serial number of the last process started (Process.__init__
+        #: increments it inline); doubles as the trace track (tid)
         self._pid_counter: int = 0
-
-    def _next_pid(self) -> int:
-        """Deterministic serial number for a new process (trace track)."""
-        self._pid_counter += 1
-        return self._pid_counter
 
     @property
     def now(self) -> float:
@@ -306,19 +303,13 @@ class Simulator:
 
     def process(self, generator) -> "Process":
         """Start a new process from a generator; see :class:`Process`."""
-        from repro.sim.process import Process
-
-        return Process(self, generator)
+        return _process.Process(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> "Event":
-        from repro.sim.process import AllOf
-
-        return AllOf(self, list(events))
+        return _process.AllOf(self, list(events))
 
     def any_of(self, events: Iterable[Event]) -> "Event":
-        from repro.sim.process import AnyOf
-
-        return AnyOf(self, list(events))
+        return _process.AnyOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------
     def _enqueue(self, delay: float, event: Event) -> None:
@@ -590,3 +581,10 @@ class Simulator:
             stop_evt.defused = True
             raise stop_evt.value
         return None
+
+
+# process.py subclasses Event, so it imports this module.  Binding the
+# module (not its classes) works in either import order, even while one
+# of the two is still initialising, and spares process()/any_of()/
+# all_of() an import statement per call (~0.9 us each on CPython 3.11).
+from repro.sim import process as _process  # noqa: E402

@@ -8,10 +8,11 @@ generator returns, so processes can wait on each other.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator, Optional
 
 from repro.sim.errors import Interrupt, SimulationError
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import _PENDING, Event, Simulator
 
 
 class Process(Event):
@@ -28,25 +29,46 @@ class Process(Event):
     def __init__(self, sim: Simulator, generator: Generator[Event, Any, Any]):
         if not hasattr(generator, "send"):
             raise TypeError(f"Process needs a generator, got {generator!r}")
-        super().__init__(sim)
+        # Start-up is on the hot path (one process per RPC, disk request
+        # and daemon step), so the Event fields, the pid and the bootstrap
+        # event's queue insert are inlined rather than going through
+        # Event.__init__ and Simulator._enqueue — same values, same
+        # counters, same order.
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self.defused = False
         self._generator: Optional[Generator] = generator
         #: deterministic serial number; doubles as the trace track (tid)
-        self.pid: int = sim._next_pid()
+        sim._pid_counter = self.pid = sim._pid_counter + 1
         #: span open in the spawning process at creation time — the
         #: causal parent for this process's own root spans
         self.trace_parent: int = (
             sim.tracer.current_parent(sim) if sim.tracer.enabled else 0)
+        #: cached bound method — appended once per resume on the hot path,
+        #: so we pay the bound-method allocation a single time.  It is a
+        #: self-reference, so termination drops it (see _resume): a
+        #: finished process is then freed by refcounting alone.
+        self._rcb = self._resume
         # Bootstrap: resume the generator at time now (after the caller's
         # current callback finishes), mirroring SimPy's Initialize event.
-        init = Event(sim)
-        init._ok = True
+        init = Event.__new__(Event)
+        init.sim = sim
+        init.callbacks = [self._rcb]
         init._value = None
-        sim._enqueue(0.0, init)
-        #: cached bound method — appended once per resume on the hot path,
-        #: so we pay the bound-method allocation a single time
-        self._rcb = self._resume
-        init.callbacks.append(self._rcb)
+        init._ok = True
+        init.defused = False
         self._target: Optional[Event] = init
+        sim._counter = count = sim._counter + 1
+        when = sim._now
+        if when < sim._ftop:
+            front = sim._front
+            heappush(front, (when, count, init))
+            if len(front) > sim._fgrow:
+                sim._resize()
+        else:
+            sim._place(when, (when, count, init))
 
     @property
     def is_alive(self) -> bool:
@@ -104,11 +126,15 @@ class Process(Event):
             else:
                 nxt = generator.throw(event._value)
         except StopIteration as stop:
-            self._generator = None
+            # Terminated: also drop the self-referencing ``_rcb``.  No
+            # callback list still holds it — the event that resumed us
+            # has been detached, and an interrupt removed it from the
+            # old target before resuming.
+            self._generator = self._rcb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self._generator = None
+            self._generator = self._rcb = None
             self.fail(exc)
             return
         finally:
@@ -124,7 +150,7 @@ class Process(Event):
         else:
             nxt_is_event = True
         if not nxt_is_event:
-            self._generator = None
+            self._generator = self._rcb = None
             self.fail(SimulationError(
                 f"process yielded a non-event: {nxt!r}"))
             return
@@ -142,13 +168,16 @@ class Process(Event):
 
 
 class _Condition(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
+    """Shared machinery for :class:`AllOf` / :class:`AnyOf`.
+
+    The children are held only until the condition triggers.
+    """
 
     __slots__ = ("_events", "_done")
 
     def __init__(self, sim: Simulator, events: list[Event]):
         super().__init__(sim)
-        self._events = events
+        self._events: Optional[list[Event]] = events
         self._done = 0
         if not events:
             self.succeed(self._finish_value())
@@ -161,14 +190,21 @@ class _Condition(Event):
                     lambda e, i=idx: self._child_done(i, e))
 
     def _child_done(self, idx: int, evt: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not evt._ok:
             evt.defused = True
             self.fail(evt._value)
-            return
-        self._done += 1
-        self._on_child(idx, evt)
+        else:
+            self._done += 1
+            self._on_child(idx, evt)
+        if self._value is not _PENDING:
+            # Triggered: release the children.  A child still pending
+            # (an AnyOf loser, say a cancelled Store.get) keeps a
+            # callback that references this condition; without the
+            # release the pair would form a cycle only the cyclic
+            # collector could free.
+            self._events = None
 
     def _on_child(self, idx: int, evt: Event) -> None:  # pragma: no cover
         raise NotImplementedError

@@ -165,49 +165,11 @@ class Disk:
         arm mid-batch, the remaining runs fall back to the per-request
         path so the waiter is granted the arm between members.
         """
-        sim = self.sim
-        arm = self.arm
-        kind = "write" if write else "read"
-        arm._in_use += 1
-        done = Event(sim)
-        state = [0, 0.0]  # [next run index, accumulated service time]
+        self.arm._in_use += 1
         self.stats.add("fastpath.batches")
-
-        def start_next() -> None:
-            offset, nbytes = runs[state[0]]
-            service = self.service_time(offset, nbytes, write)
-            sequential = offset == self._last_end
-            evt = sim.at(sim.now + service)
-            evt.callbacks.append(
-                lambda _e, o=offset, n=nbytes, s=service, q=sequential:
-                finish_one(o, n, s, q))
-
-        def finish_one(offset: int, nbytes: int, service: float,
-                       sequential: bool) -> None:
-            end = offset + nbytes
-            self._head = end
-            self._last_end = end
-            state[0] += 1
-            state[1] += service
-            last = state[0] >= len(runs)
-            contended = not last and bool(arm._waiters)
-            if last or contended:
-                arm.release()
-            self.stats.add(f"{kind}.ops")
-            self.stats.add(f"{kind}.bytes", nbytes)
-            if sequential:
-                self.stats.add(f"{kind}.sequential")
-            self.stats.sample("service_s", service)
-            if last:
-                done.succeed(state[1])
-            elif contended:
-                self.stats.add("fastpath.fallbacks")
-                sim.process(self._drain(runs, state, write, done))
-            else:
-                start_next()
-
-        start_next()
-        return done
+        batch = _FastBatch(self, runs, write)
+        batch.start_next()
+        return batch.done
 
     def _drain(self, runs, state, write: bool, done: Event):
         """Finish a contended batch on the per-request path."""
@@ -251,3 +213,67 @@ class Disk:
             self.stats.add(f"{kind}.sequential")
         self.stats.sample("service_s", service)
         return service
+
+
+class _FastBatch:
+    """One in-flight fast-path batch of :meth:`Disk._fast_access`.
+
+    A slotted object rather than a pair of mutually recursive closures:
+    the closures referenced each other through their cells, so every
+    batch ended as a reference cycle only the cyclic collector could
+    free.  The kernel holds the batch through the bound-method callback
+    of the run in service; nothing points back, so refcounting frees it
+    when the last run completes.
+    """
+
+    __slots__ = ("disk", "runs", "write", "kind", "done", "state",
+                 "offset", "nbytes", "service", "sequential")
+
+    def __init__(self, disk: Disk, runs, write: bool):
+        self.disk = disk
+        self.runs = runs
+        self.write = write
+        self.kind = "write" if write else "read"
+        self.done = Event(disk.sim)
+        #: [next run index, accumulated service time]; shared with
+        #: Disk._drain if the batch falls back
+        self.state = [0, 0.0]
+
+    def start_next(self) -> None:
+        """Start the next run: compute its service time now, schedule
+        its completion."""
+        disk = self.disk
+        sim = disk.sim
+        self.offset, self.nbytes = self.runs[self.state[0]]
+        self.service = disk.service_time(self.offset, self.nbytes,
+                                         self.write)
+        self.sequential = self.offset == disk._last_end
+        sim.at(sim.now + self.service).callbacks.append(self.finish_one)
+
+    def finish_one(self, _evt: Event) -> None:
+        """Complete the run in service; start the next, hand the rest to
+        the per-request path if a waiter queued, or finish the batch."""
+        disk, state, runs, kind = self.disk, self.state, self.runs, self.kind
+        arm = disk.arm
+        end = self.offset + self.nbytes
+        disk._head = end
+        disk._last_end = end
+        state[0] += 1
+        state[1] += self.service
+        last = state[0] >= len(runs)
+        contended = not last and bool(arm._waiters)
+        if last or contended:
+            arm.release()
+        stats = disk.stats
+        stats.add(f"{kind}.ops")
+        stats.add(f"{kind}.bytes", self.nbytes)
+        if self.sequential:
+            stats.add(f"{kind}.sequential")
+        stats.sample("service_s", self.service)
+        if last:
+            self.done.succeed(state[1])
+        elif contended:
+            stats.add("fastpath.fallbacks")
+            disk.sim.process(disk._drain(runs, state, self.write, self.done))
+        else:
+            self.start_next()

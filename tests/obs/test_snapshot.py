@@ -91,3 +91,61 @@ def test_write_snapshot_is_sorted_json(tmp_path):
         assert json.dumps(parsed, sort_keys=True, indent=1) + "\n" == text
     finally:
         stop_collection(collected)
+
+
+def test_unheld_recorder_disappears_when_its_socket_is_freed():
+    """A recorder no collection holds dies with its owner at socket
+    close: refcounting frees it even with the cyclic collector off, so
+    a snapshot does not depend on when the collector last ran."""
+    import gc
+
+    from repro.metrics.recorder import iter_recorders
+    from repro.sim import Simulator
+    from repro.testing import make_net
+
+    sim = Simulator()
+    net = make_net(sim)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sock = net.udp["alpha"].socket()
+        name = sock.stats.name
+        assert name in {r.name for r in iter_recorders()}
+
+        def recv_and_close():
+            yield sock.recv(timeout=0.01)
+            sock.close()
+
+        sim.run(until=sim.process(recv_and_close()))
+        del sock
+        assert name not in {r.name for r in iter_recorders()}
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_cli_metrics_snapshot_is_identical_with_gc_disabled(tmp_path):
+    """A small CLI run's ``--metrics-out`` snapshot does not depend on
+    when (or whether) the cyclic collector runs."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    runs = {}
+    for mode in ("enable", "disable"):
+        out = tmp_path / f"gc-{mode}.json"
+        code = (f"import gc, sys; gc.{mode}(); from repro.cli import main; "
+                f"sys.exit(main(['fig7', '--scale-lu', '1/1024', "
+                f"'--scale-dmine', '1/1024', '--metrics-out', {str(out)!r}]))")
+        runs[out] = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                     stdout=subprocess.DEVNULL,
+                                     stderr=subprocess.PIPE)
+    for proc in runs.values():
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err.decode()[-2000:]
+    enabled, disabled = (path.read_bytes() for path in runs)
+    assert json.loads(enabled)["recorders"]
+    assert enabled == disabled
