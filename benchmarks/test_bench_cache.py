@@ -2,11 +2,11 @@
 
 The caching ablation (:mod:`repro.exp.cache`) replays the Figure 7
 and non-dedicated workloads under every eviction policy, then adds
-the hotspot-migration and adaptive-selection variants on the
-non-dedicated workload.  Every reported number is virtual-time-only
-and byte-identical per seed, so the gate compares the baseline
-exactly — no machine normalization.  See docs/CACHING.md for the
-policy semantics and the migration protocol behind these numbers.
+the hotspot-migration variant on the non-dedicated workload.  Every
+reported number is virtual-time-only and byte-identical per seed, so
+the gate compares the baseline exactly — no machine normalization.
+See docs/CACHING.md for the policy semantics and the migration
+protocol behind these numbers.
 
 The pytest tests run the claim pair (cost-aware reclaim with and
 without migration) and check the property that makes the subsystem
@@ -49,12 +49,10 @@ def collect_cache(seed: int = 9, num_iter: int = 6) -> dict:
 
 
 def _variant(row: dict) -> str:
-    """Row identity within a workload: policy plus its variant flags."""
+    """Row identity within a workload: policy plus its variant flag."""
     name = row["policy"]
     if row.get("migration"):
         name += "+migrate"
-    if row.get("adaptive"):
-        name += "+adapt"
     return f"{row['workload']}/{name}"
 
 
@@ -62,16 +60,24 @@ def _variant(row: dict) -> str:
 #: virtual-time simulation outcomes, not wall-clock measurements)
 _EXACT = ("seed", "requests", "local_hits", "remote_hits",
           "migrated_hits", "disk_reads", "remote_lost", "evictions",
-          "evicted_bytes", "entries_evicted", "switches", "elapsed_s")
+          "evicted_bytes", "entries_evicted", "elapsed_s")
 
 
 def check_cache(metrics: dict, baseline: dict) -> list[str]:
-    """Gate a fresh ablation against a baseline; returns failures."""
+    """Gate a fresh ablation against a baseline; returns failures.
+
+    The two runs must cover the same rows: a baseline row missing from
+    the fresh run, or a fresh row the baseline never recorded, fails.
+    """
     failures = []
     base_rows = {_variant(r): r for r in baseline.get("rows", ())}
+    fresh = {_variant(r) for r in metrics["rows"]}
+    failures.extend(f"{v} missing from the fresh run"
+                    for v in base_rows if v not in fresh)
     for row in metrics["rows"]:
         old = base_rows.get(_variant(row))
         if old is None:
+            failures.append(f"{_variant(row)} has no baseline row")
             continue
         for key in _EXACT:
             if row.get(key) != old.get(key):

@@ -93,9 +93,15 @@ def collect_scaling(host_counts: tuple = HOST_COUNTS, num_iter: int = 2,
 
 def check_scaling(metrics: dict, baseline: dict,
                   tolerance: float = 0.30) -> list[str]:
-    """Gate a fresh series against a baseline; returns failure strings."""
+    """Gate a fresh series against a baseline; returns failure strings.
+
+    A baseline point missing from the fresh series fails the gate.
+    """
     failures = []
     base_points = {p["hosts"]: p for p in baseline.get("points", ())}
+    fresh = {p["hosts"] for p in metrics["points"]}
+    failures.extend(f"{n}-host point missing from the fresh series"
+                    for n in base_points if n not in fresh)
     kernel_new = metrics["kernel_events_per_sec"]
     kernel_old = baseline.get("kernel_events_per_sec", kernel_new)
     for p in metrics["points"]:

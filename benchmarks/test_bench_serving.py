@@ -57,9 +57,15 @@ _EXACT = ("shards", "seed", "offered", "completed", "rejected", "failed",
 
 
 def check_serving(metrics: dict, baseline: dict) -> list[str]:
-    """Gate a fresh series against a baseline; returns failure strings."""
+    """Gate a fresh series against a baseline; returns failure strings.
+
+    A baseline point missing from the fresh series fails the gate.
+    """
     failures = []
     base_points = {p["shards"]: p for p in baseline.get("points", ())}
+    fresh = {p["shards"] for p in metrics["points"]}
+    failures.extend(f"{n}-shard point missing from the fresh series"
+                    for n in base_points if n not in fresh)
     for p in metrics["points"]:
         old = base_points.get(p["shards"])
         if old is None:

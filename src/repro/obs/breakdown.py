@@ -23,7 +23,7 @@ into one tracer) from polluting each other's windows.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.metrics.report import format_table
 from repro.obs.tracer import Span
@@ -54,29 +54,43 @@ def layer_of(component: str) -> str:
     return COMPONENT_LAYER.get(component, component)
 
 
-def _window_layers(root: Span, inner: list[Span]) -> dict[str, float]:
-    """Sweep one root window; returns seconds per layer (sums to the
-    root's duration exactly)."""
+def sweep_window(root: Span, inner: list[Span],
+                 bucket_of: Callable[[str], str]):
+    """Attribute one root window over its elementary intervals.
+
+    Each interval goes to the innermost active causal descendant in
+    ``inner`` (latest start, ties toward the shorter span), mapped
+    through ``bucket_of``; uncovered time goes to the root's own bucket.
+    Returns ``(seconds per bucket, segments)``: the seconds sum to the
+    root's duration exactly, and the merged ``(lo, hi, bucket)``
+    segments tile the window (the SLI critical-path track).  Both the
+    per-layer breakdown here and :mod:`repro.obs.slo.sli` use it.
+    """
     t0, t1 = root.start, root.end
     bounds = {t0, t1}
     for s in inner:
         bounds.add(min(max(s.start, t0), t1))
-        if s.end is not None:
-            bounds.add(min(max(s.end, t0), t1))
+        bounds.add(min(max(s.end, t0), t1))
     cuts = sorted(bounds)
+    root_bucket = bucket_of(root.component)
     acc: dict[str, float] = {}
+    segments: list[tuple[float, float, str]] = []
     for lo, hi in zip(cuts, cuts[1:]):
         if hi <= lo:
             continue
-        covering = [s for s in inner
-                    if s.start <= lo and s.end is not None and s.end >= hi]
+        covering = [s for s in inner if s.start <= lo and s.end >= hi]
         if covering:
             pick = max(covering, key=lambda s: (s.start, s.start - s.end))
-            layer = layer_of(pick.component)
+            bucket = bucket_of(pick.component)
         else:
-            layer = layer_of(root.component)
-        acc[layer] = acc.get(layer, 0.0) + (hi - lo)
-    return acc
+            bucket = root_bucket
+        acc[bucket] = acc.get(bucket, 0.0) + (hi - lo)
+        if segments and segments[-1][2] == bucket \
+                and segments[-1][1] == lo:
+            segments[-1] = (segments[-1][0], hi, bucket)
+        else:
+            segments.append((lo, hi, bucket))
+    return acc, segments
 
 
 def fetch_breakdown(spans: Iterable[Span],
@@ -103,7 +117,8 @@ def fetch_breakdown(spans: Iterable[Span],
                 frontier.append(child.span_id)
                 if child.end > root.start and child.start < root.end:
                     inner.append(child)
-        for layer, secs in _window_layers(root, inner).items():
+        layers, _ = sweep_window(root, inner, layer_of)
+        for layer, secs in layers.items():
             totals[layer] = totals.get(layer, 0.0) + secs
         whole += root.duration
     n = len(roots)

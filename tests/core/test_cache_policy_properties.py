@@ -1,21 +1,22 @@
-"""Property tests: donor-side cache policies under randomized streams.
+"""Property tests: cache policies under randomized pinned streams.
 
-Hypothesis drives each :mod:`repro.core.policy` eviction policy through
-arbitrary insert/access/remove/evict interleavings and checks the
-invariants the imd relies on:
+Hypothesis drives every registered :mod:`repro.core.policy` policy
+through arbitrary insert/access/remove/evict interleavings and checks
+the invariants the imd and the region cache rely on:
 
 * a victim is always a currently-held, never-pinned key (in-flight
-  migration sources stay put no matter the policy);
+  migration sources stay put no matter the policy), or None — and None
+  only when nothing is eligible or the policy refuses to evict
+  (first-in);
+* victim order is a pure function of the history: two fresh instances
+  fed the same stream pick the same victims, and equal-rank ties break
+  toward the smallest key;
 * LRU evicts exactly what an ``OrderedDict`` recency model predicts;
 * CLOCK honours second chance — while any eligible region's reference
-  bit is clear, a referenced region is never the victim;
-* :class:`ShadowCache` never exceeds its byte capacity and its books
-  (``used`` vs held sizes) always balance, for every policy;
-* :class:`PolicySelector` only recommends a switch when the regret
-  bound is met, and the recommendation is the window's best shadow.
+  bit is clear, a referenced region is never the victim.
 
-Distinct from test_policy_properties.py, which models the *client-side*
-regionlib replacement policies of Figure 5.
+test_policy_properties.py models the paper's client-side policies
+(LRU/MRU/first-in) without pins.
 """
 
 from collections import OrderedDict
@@ -24,12 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policy import (CACHE_POLICIES, PolicySelector, ShadowCache,
-                               make_cache_policy)
+from repro.core.policy import POLICIES, make_policy
 
 REGION = 64 * 1024  # one logical region; sizes vary around it below
 
-POLICY_NAMES = sorted(CACHE_POLICIES)
+POLICY_NAMES = sorted(POLICIES)
+
+#: policies whose reclamation procedure always refuses to evict
+REFUSES = {"first-in"}
 
 
 @st.composite
@@ -49,6 +52,7 @@ def policy_ops(draw):
 
 def drive(policy, ops, on_evict=None):
     """Run ops against a policy, tracking the live-key ground truth."""
+    refuses = policy.name in REFUSES
     live: dict[int, int] = {}
     for kind, key, size in ops:
         if kind == "insert":
@@ -64,7 +68,7 @@ def drive(policy, ops, on_evict=None):
             pinned = {k for k in live if k % 3 == key % 3}
             victim = policy.victim(pinned)
             eligible = set(live) - pinned
-            if eligible:
+            if eligible and not refuses:
                 assert victim in eligible, \
                     f"victim {victim} not a live unpinned key {eligible}"
             else:
@@ -83,18 +87,41 @@ def drive(policy, ops, on_evict=None):
 def test_victim_is_live_and_never_pinned(name, ops):
     """Every policy: victims are held keys, pinned keys are immune,
     and the size books track the live set exactly."""
-    policy = make_cache_policy(name)
+    policy = make_policy(name)
     live = drive(policy, ops)
     assert sorted(policy.keys()) == sorted(live)
     for key, size in live.items():
         assert policy.size_of(key) == size
 
 
+@pytest.mark.parametrize("name", POLICY_NAMES)
+@given(ops=policy_ops())
+@settings(max_examples=40, deadline=None)
+def test_victim_order_is_deterministic(name, ops):
+    """Every policy: the same history yields the same victims."""
+    runs = []
+    for _ in range(2):
+        victims = []
+        drive(make_policy(name), ops,
+              on_evict=lambda victim, pinned: victims.append(victim))
+        runs.append(victims)
+    assert runs[0] == runs[1]
+
+
+def test_equal_rank_tie_breaks_to_smallest_key():
+    """Equal-size, untouched regions rank equally under cost-aware;
+    the smallest key goes first whatever the insertion order."""
+    policy = make_policy("cost-aware")
+    for key in (5, 2, 7):
+        policy.on_insert(key, REGION)
+    assert policy.victim() == 2
+
+
 @given(ops=policy_ops())
 @settings(max_examples=60, deadline=None)
 def test_lru_matches_recency_model(ops):
     """LRU's victim is the recency model's least-recent eligible key."""
-    policy = make_cache_policy("lru")
+    policy = make_policy("lru")
     model: OrderedDict[int, None] = OrderedDict()
 
     def check(victim, pinned):
@@ -127,7 +154,7 @@ def test_lru_matches_recency_model(ops):
 def test_clock_second_chance(ops):
     """CLOCK: while some eligible bit is clear, a referenced region is
     never evicted — an access really does buy one more lap."""
-    policy = make_cache_policy("clock")
+    policy = make_policy("clock")
 
     def check(victim, pinned):
         if victim is not None and any(not bits[k] for k in eligible):
@@ -152,58 +179,10 @@ def test_clock_second_chance(ops):
             policy.on_remove(key)
 
 
-@pytest.mark.parametrize("name", POLICY_NAMES)
-@given(ops=policy_ops(), capacity=st.sampled_from(
-    [2 * REGION, 5 * REGION, 16 * REGION]))
-@settings(max_examples=40, deadline=None)
-def test_shadow_cache_capacity(name, ops, capacity):
-    """ShadowCache: ``used`` never exceeds capacity and always equals
-    the sum of the held regions' sizes, for every policy."""
-    shadow = ShadowCache(name, capacity)
-    for kind, key, size in ops:
-        if kind == "remove":
-            shadow.remove(key)
-        else:
-            shadow.access(key, size)
-        assert 0 <= shadow.used <= capacity
-        assert shadow.used == sum(shadow.policy.size_of(k)
-                                  for k in shadow.policy.keys())
-    assert shadow.hits + shadow.misses == sum(
-        1 for kind, _, _ in ops if kind != "remove")
-
-
-@given(ops=policy_ops(), min_regret=st.integers(1, 12))
-@settings(max_examples=40, deadline=None)
-def test_selector_switches_only_on_regret(ops, min_regret):
-    """PolicySelector: a recommendation appears iff the active policy
-    trails the best shadow by >= min_regret, names the best policy, and
-    resets the window either way."""
-    selector = PolicySelector("lru", POLICY_NAMES, 4 * REGION,
-                              min_regret=min_regret)
-    for i, (kind, key, size) in enumerate(ops):
-        if kind == "remove":
-            selector.remove(key)
-        else:
-            selector.access(key, size)
-        if i % 7 == 6:  # an adaptation point
-            hits = selector.window_hits()
-            regret = selector.regret()
-            assert regret == max(hits.values()) - hits[selector.active]
-            choice = selector.recommend()
-            if regret >= min_regret:
-                assert choice is not None
-                assert hits[choice] == max(hits.values())
-                assert selector.active == choice
-            else:
-                assert choice is None
-            assert all(s.hits == 0 and s.misses == 0
-                       for s in selector.shadows.values())
-
-
 def test_cost_aware_keeps_pinned_under_pressure():
     """The in-flight migration source is pinned: repeated evictions
     drain everything else but never touch it."""
-    policy = make_cache_policy("cost-aware")
+    policy = make_policy("cost-aware")
     for key in range(6):
         policy.on_insert(key, REGION)
     policy.on_access(3)  # hot, but pinned matters more
