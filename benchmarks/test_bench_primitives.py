@@ -110,7 +110,7 @@ def test_bench_perf_smoke_artifact(once, tmp_path):
     assert rc == 0
     metrics = json.loads(out.read_text())
     print(f"\nfast path: {metrics['bulk_fast_speedup_x']:.0f}x over the "
-          f"packet path ({metrics['bulk_mb_per_wall_s']:,.0f} MB per wall "
+          f"packet path ({metrics['bulk_mb_per_wall_s']:,.0f} MB per CPU "
           f"second, {metrics['bulk_fast_events']} events)")
     assert metrics["bulk_fast_speedup_x"] >= perf_smoke.MIN_SPEEDUP
     assert metrics["bulk_fast_events"] < 100  # O(1), not O(chunks)

@@ -42,6 +42,103 @@ class IwdEntry:
     port: int
 
 
+class IwdTable(dict):
+    """The IWD: host -> :class:`IwdEntry`, in registration order, plus
+    what placement needs to skip the per-alloc scan.
+
+    Placement asks for the hosts whose free-space hint fits a request,
+    in IWD order.  Two cached facts answer that without looking at any
+    entry when every host fits: the key order, reset only when a host
+    joins or leaves, and ``_floor``, the smallest hint of any host.  The
+    floor is lowered on every decrease and recomputed lazily, only after
+    a host at the floor grows or leaves (a freshly built table, such as
+    one installed from a snapshot, starts with both unknown).  Hints
+    must change through :meth:`set_hint` or by replacing the entry;
+    nothing is kept per entry.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._order: Optional[list[str]] = None
+        self._floor: Optional[int] = None
+
+    def __setitem__(self, host: str, entry: IwdEntry) -> None:
+        old = self.get(host)
+        if old is None:
+            self._order = None
+            self._lowered(None, entry.largest_free)
+        else:
+            self._lowered(old.largest_free, entry.largest_free)
+        super().__setitem__(host, entry)
+
+    def __delitem__(self, host: str) -> None:
+        self._leaving(self[host])
+        super().__delitem__(host)
+
+    def pop(self, host: str, *default):
+        entry = self.get(host)
+        if entry is not None:
+            self._leaving(entry)
+        return super().pop(host, *default)
+
+    def set_hint(self, host: str, largest_free: int) -> None:
+        """Refresh one host's free-space hint (no-op for absent hosts)."""
+        entry = self.get(host)
+        if entry is not None:
+            self._lowered(entry.largest_free, largest_free)
+            entry.largest_free = largest_free
+
+    def _lowered(self, old: Optional[int], new: int) -> None:
+        floor = self._floor
+        if floor is None:
+            return
+        if new < floor:
+            self._floor = new
+        elif old == floor and new > old:
+            self._floor = None  # a host at the floor grew
+
+    def _leaving(self, entry: IwdEntry) -> None:
+        self._order = None
+        if entry.largest_free == self._floor:
+            self._floor = None
+
+    def hosts(self, exclude: Optional[str] = None) -> list[str]:
+        """A fresh list of every host but ``exclude``, in IWD order."""
+        order = self._order
+        if order is None:
+            order = self._order = list(self)
+        out = order.copy()
+        if exclude is not None and exclude in self:
+            out.remove(exclude)
+        return out
+
+    def fitting(self, length: int,
+                exclude: Optional[str] = None) -> list[str]:
+        """The hosts but ``exclude`` whose hint is at least ``length``,
+        in IWD order; the scan runs only when some hint is smaller."""
+        if not self:
+            return []
+        floor = self._floor
+        if floor is None:
+            floor = self._floor = min(e.largest_free for e in self.values())
+        if floor >= length:
+            return self.hosts(exclude)
+        return [h for h, e in self.items()
+                if h != exclude and e.largest_free >= length]
+
+
+def _resets_index(name: str):
+    def method(self, *args, **kwargs):
+        self._order = self._floor = None
+        return getattr(dict, name)(self, *args, **kwargs)
+    method.__name__ = name
+    return method
+
+
+for _name in ("clear", "popitem", "setdefault", "update", "__ior__"):
+    setattr(IwdTable, _name, _resets_index(_name))
+
+
 @dataclass
 class RdEntry:
     """One allocated region and the client that created it (None once the
@@ -116,7 +213,7 @@ class CentralManager:
         self.repl_seq = 0
         self._repl_pending: list[list] = []
         self.repl_degraded = False
-        self.iwd: dict[str, IwdEntry] = {}
+        self.iwd = IwdTable()
         self.rd: dict[RegionKey, RdEntry] = {}
         self.clients: dict[str, ClientState] = {}
         self.stats = Recorder("cmd" if shard_map is None
@@ -363,10 +460,10 @@ class CentralManager:
             _unwire_key(raw): RdEntry(struct=RegionStruct.from_wire(sw),
                                       owner=owner)
             for raw, sw, owner in snap["rd"]}
-        self.iwd = {
-            host: IwdEntry(host=host, epoch=int(epoch),
-                           largest_free=int(free), port=int(port))
-            for host, epoch, free, port in snap["iwd"]}
+        self.iwd = IwdTable(
+            (host, IwdEntry(host=host, epoch=int(epoch),
+                            largest_free=int(free), port=int(port)))
+            for host, epoch, free, port in snap["iwd"])
         self.clients = {
             cid: ClientState(addr=addr, echo_port=int(port),
                              last_echo=self.sim.now)
@@ -675,13 +772,10 @@ class CentralManager:
         if entry is None:
             self.stats.add("migrate.failed")
             return False
-        candidates = [h for h, e in self.iwd.items()
-                      if h != src_iwd.host and e.largest_free >= size]
-        if not candidates:
-            # every other donor looks full, but donors evict: offer the
-            # hot region anyway and let the destination displace colder
-            # ones (migration implies an active policy)
-            candidates = [h for h in self.iwd if h != src_iwd.host]
+        # migration implies an active policy, so a destination whose
+        # hint looks full may still displace colder regions for this one
+        candidates = self._candidates(size, fallback=True,
+                                      exclude=src_iwd.host)
         while candidates:
             pick = self._pick_candidate(candidates)
             dest = self.iwd.get(pick)
@@ -803,6 +897,19 @@ class CentralManager:
         self.stats.add("check.hit")
         return self._stamp({"ok": True, "region": entry.struct.to_wire()})
 
+    def _candidates(self, length: int, fallback: bool,
+                    exclude: Optional[str] = None) -> list[str]:
+        """The hosts to try for a ``length``-byte region, in IWD order
+        and without ``exclude``: those whose free-space hint fits or,
+        when none does and ``fallback`` is set, every host (a donor
+        whose hint says "full" can still evict to make room).  The same
+        list a scan of the IWD gives, usually without the scan
+        (:class:`IwdTable`)."""
+        candidates = self.iwd.fitting(length, exclude)
+        if not candidates and fallback:
+            candidates = self.iwd.hosts(exclude)
+        return candidates
+
     def _pick_candidate(self, candidates: list[str]) -> str:
         """Remove and return the next host to try, per the configured
         placement policy.  "random" draws from the seeded placement
@@ -843,14 +950,10 @@ class CentralManager:
                     {"ok": True, "region": existing.struct.to_wire()})
             self._rd_del(key)  # stale or too small: replace
 
-        candidates = [h for h, e in self.iwd.items()
-                      if e.largest_free >= length]
-        if not candidates and self.config.cache.enabled:
-            # donors run an eviction policy: a host whose free-space
-            # hint says "full" can still make room, so consult them all
-            # and let each imd answer ENOMEM only when eviction can't
-            # open a large-enough hole
-            candidates = list(self.iwd)
+        # with caching on, donors run an eviction policy: each imd
+        # answers ENOMEM only when eviction can't open a large-enough hole
+        candidates = self._candidates(length,
+                                      fallback=self.config.cache.enabled)
         while candidates:
             pick = self._pick_candidate(candidates)
             iwd = self.iwd.get(pick)
@@ -949,9 +1052,7 @@ class CentralManager:
         finally:
             sock.close()
         if "largest_free" in reply:
-            live = self.iwd.get(iwd.host)
-            if live is not None:
-                live.largest_free = int(reply["largest_free"])
+            self.iwd.set_hint(iwd.host, int(reply["largest_free"]))
         return reply
 
     def _reclaim_client(self, client: Optional[str]):

@@ -19,6 +19,12 @@ _REGISTRY: list[weakref.ref] = []
 #: active strong-reference collections (see :func:`start_collection`)
 _COLLECTORS: list[list] = []
 
+#: dead refs are pruned from ``_REGISTRY`` once this many refs have been
+#: appended since the last prune, so at most this many are ever dead and
+#: a prune costs O(1) amortized per recorder whatever the live count
+PRUNE_EVERY = 4096
+_appended = 0  # refs appended since the last prune
+
 
 def iter_recorders() -> Iterable["Recorder"]:
     """All live recorders in creation order (dead ones are skipped)."""
@@ -54,11 +60,14 @@ class Recorder:
     """A named bag of additive counters and value accumulators."""
 
     def __init__(self, name: str = ""):
+        global _appended
         self.name = name
         self._counters: defaultdict[str, float] = defaultdict(float)
         self._samples: defaultdict[str, list[float]] = defaultdict(list)
-        if len(_REGISTRY) % 4096 == 0:  # amortized pruning of dead refs
+        if _appended >= PRUNE_EVERY:
             _REGISTRY[:] = [r for r in _REGISTRY if r() is not None]
+            _appended = 0
+        _appended += 1
         _REGISTRY.append(weakref.ref(self))
         for collected in _COLLECTORS:
             collected.append(self)

@@ -43,7 +43,15 @@ class RpcClient:
         self.sock = sock
         self.sim = sock.sim
         self._ids = itertools.count(1)
-        self.stats = Recorder(f"rpc.client.{sock.endpoint.addr}:{sock.port}")
+        endpoint = sock.endpoint
+        stats = endpoint.rpc_client_stats
+        if stats is None:
+            stats = endpoint.rpc_client_stats = Recorder(
+                f"rpc.client.{endpoint.addr}")
+        #: shared by every client on the endpoint, like ``USocket.stats``
+        #: (created here, not by the endpoint, so tools that attribute a
+        #: recorder to the module constructing it still file it under rpc)
+        self.stats = stats
 
     def call(self, dst: tuple[str, int], method: str,
              args: Optional[dict] = None, *, timeout: float = 0.05,

@@ -47,6 +47,12 @@ class TransportEndpoint:
         self.params = params
         self._ports: dict[int, "USocket"] = {}
         self._ephemeral = itertools.count(EPHEMERAL_BASE)
+        #: the ``sock.<addr>`` recorder every socket on this endpoint
+        #: shares, and the ``rpc.client.<addr>`` one its RPC clients
+        #: share (:class:`~repro.net.rpc.RpcClient`); each is created
+        #: when the first socket or client opens
+        self.sock_stats: Optional[Recorder] = None
+        self.rpc_client_stats: Optional[Recorder] = None
         nic.register_endpoint(self)
 
     @property
@@ -98,7 +104,13 @@ class USocket:
         #: when it waits forever); the fast path refuses to engage if the
         #: transfer would latch after this instant
         self._bulk_wait_deadline: Optional[float] = None
-        self.stats = Recorder(f"sock.{endpoint.addr}:{port}")
+        stats = endpoint.sock_stats
+        if stats is None:
+            stats = endpoint.sock_stats = Recorder(f"sock.{endpoint.addr}")
+        #: the endpoint's shared recorder: a snapshot groups sockets by
+        #: host anyway, and one recorder per conversation cost more to
+        #: create than the conversation's datagrams
+        self.stats = stats
 
     # -- connection-style convenience -----------------------------------------
     def connect(self, dst_addr: str, dst_port: int) -> None:

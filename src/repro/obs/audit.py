@@ -199,20 +199,23 @@ class Auditor:
                         f"block (allocator says {backing})", sim.now))
         if not teardown:
             return
-        mgrs = list(by_kind.get("manager", ()))
+        # one pass per directory, not one per imd: the (host, epoch,
+        # pool offset) of every region each directory references
+        referenced = [(cmd.iwd, {(e.struct.host, e.struct.epoch,
+                                  e.struct.pool_offset)
+                                 for e in cmd.rd.values()})
+                      for cmd in by_kind.get("manager", ())]
         for (host, epoch), imd in live.items():
-            vouchers = [cmd for cmd in mgrs
-                        if cmd.iwd.get(host) is not None
-                        and cmd.iwd[host].epoch == epoch]
+            vouchers = []
+            for iwd, regions in referenced:
+                entry = iwd.get(host)
+                if entry is not None and entry.epoch == epoch:
+                    vouchers.append(regions)
             if not vouchers:
                 continue
-            in_rd: set[int] = set()
-            for cmd in vouchers:
-                in_rd |= {e.struct.pool_offset for e in cmd.rd.values()
-                          if e.struct.host == host
-                          and e.struct.epoch == epoch}
             for offset in imd._regions:
-                if offset not in in_rd:
+                if not any((host, epoch, offset) in regions
+                           for regions in vouchers):
                     found.append(Finding(
                         "directory.orphan_region", host,
                         f"imd hosts a region at offset {offset} that "

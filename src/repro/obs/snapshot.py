@@ -8,13 +8,14 @@ max / p50 / p90 / p99 — with stable key sorting, so ``diff run_a.json
 run_b.json`` pinpoints exactly which component's behaviour moved between
 two code versions or two configurations.
 
-Recorder names embed ephemeral identifiers (every socket and RPC client
-carries its port number, several simulators in one experiment each
-build their own ``cmd``), which would make snapshots enormous and
-un-diffable.  Snapshots therefore *group* recorders by a normalized
-name — trailing ``:port`` / ``#n`` components are stripped — and merge
-each group: counters are summed, sample lists pooled.  The per-group
-``instances`` field records how many recorders were merged.
+Recorder names can repeat or embed ephemeral identifiers (several
+simulators in one experiment each build their own ``cmd`` and their own
+per-endpoint ``sock.<host>`` / ``rpc.client.<host>``), which would make
+snapshots enormous and un-diffable.  Snapshots therefore *group*
+recorders by a normalized name — trailing ``:port`` / ``#n`` components
+are stripped — and merge each group: counters are summed, sample lists
+pooled.  The per-group ``instances`` field records how many recorders
+were merged.
 
 The CLI's ``--metrics-out run.json`` writes one of these after any
 experiment.
@@ -91,13 +92,12 @@ def recorder_snapshot(rec: Recorder) -> dict:
 def snapshot(meta: Optional[dict] = None) -> dict:
     """Snapshot every live recorder, grouped by normalized name.
 
-    "Live" is decided by refcounting, not by the cyclic collector: the
-    simulator's per-event objects form no reference cycles
-    (docs/PERFORMANCE.md §1), so a recorder not held by
-    :func:`~repro.metrics.recorder.start_collection` disappears the
-    moment its owner is freed (for example, at socket close), not at
-    the next garbage collection.  The snapshot of a run is therefore
-    the same whether or when the collector ran.
+    "Live" means not yet freed: a recorder not held by
+    :func:`~repro.metrics.recorder.start_collection` lives as long as
+    its owner.  Per-event objects own none (sockets and RPC clients
+    share their endpoint's), and they form no reference cycles
+    (docs/PERFORMANCE.md §1), so a snapshot taken while a run's
+    simulation is alive is the same whether or when the collector ran.
     """
     groups: dict[str, list[Recorder]] = {}
     for rec in iter_recorders():

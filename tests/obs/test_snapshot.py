@@ -93,13 +93,17 @@ def test_write_snapshot_is_sorted_json(tmp_path):
         stop_collection(collected)
 
 
-def test_unheld_recorder_disappears_when_its_socket_is_freed():
-    """A recorder no collection holds dies with its owner at socket
-    close: refcounting frees it even with the cyclic collector off, so
-    a snapshot does not depend on when the collector last ran."""
+def test_sockets_and_rpc_clients_share_their_endpoints_recorders():
+    """Every socket on an endpoint records into the endpoint's one
+    ``sock.<addr>`` recorder and every RPC client into its one
+    ``rpc.client.<addr>`` recorder, so opening and closing sockets
+    creates no recorder.  The recorders die with the simulation: none
+    is held past it by the registry or by a closed socket."""
     import gc
+    import weakref
 
     from repro.metrics.recorder import iter_recorders
+    from repro.net.rpc import RpcClient
     from repro.sim import Simulator
     from repro.testing import make_net
 
@@ -108,20 +112,85 @@ def test_unheld_recorder_disappears_when_its_socket_is_freed():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        sock = net.udp["alpha"].socket()
-        name = sock.stats.name
-        assert name in {r.name for r in iter_recorders()}
+        ep = net.udp["alpha"]
+        sock = ep.socket()
+        client = RpcClient(sock)
+        assert sock.stats is ep.sock_stats
+        assert client.stats is ep.rpc_client_stats
+        assert sock.stats.name == "sock.alpha"
+        assert client.stats.name == "rpc.client.alpha"
+        before = sum(1 for _ in iter_recorders())
 
-        def recv_and_close():
-            yield sock.recv(timeout=0.01)
-            sock.close()
+        def churn():
+            for _ in range(1000):
+                s = ep.socket()
+                assert RpcClient(s).stats is client.stats
+                yield s.recv(timeout=0.001)
+                s.close()
 
-        sim.run(until=sim.process(recv_and_close()))
-        del sock
-        assert name not in {r.name for r in iter_recorders()}
+        sim.run(until=sim.process(churn()))
+        assert sum(1 for _ in iter_recorders()) == before
+        assert sock.stats.count("rx.timeouts") == 1000
+        sock.close()
+        refs = [weakref.ref(sock.stats), weakref.ref(client.stats)]
+        del sock, client, ep, churn, net, sim
+        gc.collect()  # the NIC/endpoint/network topology is cyclic
+        assert [ref() for ref in refs] == [None, None]
+        names = {r.name for r in iter_recorders()}
+        assert "sock.alpha" not in names
+        assert "rpc.client.alpha" not in names
     finally:
         if enabled:
             gc.enable()
+
+
+def _fig7_snapshot(path):
+    """``--metrics-out`` of a tiny fig7 run, in a fresh interpreter (the
+    snapshot walks every live recorder in the process)."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run(
+        [sys.executable, "-m", "repro", "fig7", "--scale-lu", "1/1024",
+         "--scale-dmine", "1/1024", "--metrics-out", str(path)],
+        env=env, check=True, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, timeout=300)
+    return json.loads(path.read_text())
+
+
+def test_fig7_snapshot_matches_per_socket_recorders(tmp_path):
+    """Sharing one recorder per endpoint changes no counter or sample
+    summary of a run's snapshot: ``golden/metrics_fig7_1024.json`` was
+    recorded when every socket and RPC client owned its own recorder,
+    and only the ``instances`` of the ``sock.*`` / ``rpc.client.*``
+    groups (how many recorders were merged) may differ.  Regenerate
+    after an intentional behavior change with ``REPRO_REGOLDEN=1``."""
+    import os
+
+    golden_path = os.path.join(os.path.dirname(__file__), "golden",
+                               "metrics_fig7_1024.json")
+    fresh = _fig7_snapshot(tmp_path / "m.json")
+    if os.environ.get("REPRO_REGOLDEN"):
+        with open(golden_path, "w") as fp:
+            json.dump(fresh, fp, sort_keys=True, indent=1)
+            fp.write("\n")
+    with open(golden_path) as fp:
+        golden = json.load(fp)
+    assert fresh["meta"] == golden["meta"]
+    assert sorted(fresh["recorders"]) == sorted(golden["recorders"])
+    for name, group in golden["recorders"].items():
+        now = fresh["recorders"][name]
+        if name.startswith(("sock.", "rpc.client.")):
+            # one recorder per endpoint of each simulation fig7 runs
+            assert 1 <= now["instances"] <= 4, name
+        else:
+            assert now["instances"] == group["instances"], name
+        assert now["counters"] == group["counters"], name
+        assert now["samples"] == group["samples"], name
 
 
 def test_cli_metrics_snapshot_is_identical_with_gc_disabled(tmp_path):

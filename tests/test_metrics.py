@@ -120,6 +120,31 @@ def test_recorder_clear():
     assert r.samples("b") == []
 
 
+def test_registry_prunes_once_per_4096_appends_at_any_live_count():
+    """With the live count just below a multiple of 4096, short-lived
+    recorders must not trigger a full-registry prune each (a prune keyed
+    on the registry's length did exactly that)."""
+    import gc
+
+    from repro.metrics import recorder
+
+    gc.collect()
+    registry = recorder._REGISTRY
+    registry[:] = [r for r in registry if r() is not None]
+    held = [Recorder("held")
+            for _ in range((4095 - len(registry)) % 4096)]
+    assert len([r for r in registry if r() is not None]) % 4096 == 4095
+    n, prunes = 3 * 4096, 0
+    for _ in range(n):
+        before = len(registry)
+        Recorder("short-lived")  # dies at once: leaves one dead ref
+        if len(registry) <= before:
+            prunes += 1
+    assert prunes <= n // 4096 + 1
+    assert len(registry) - sum(r() is not None for r in registry) <= 4096
+    del held
+
+
 # -- TimeSeries ---------------------------------------------------------------
 
 def test_timeseries_value_at_step_function():
