@@ -185,12 +185,14 @@ def bench_bulk(size: int, repeats: int = 3) -> dict:
 
 def bench_fig7() -> dict:
     from repro.exp.fig7 import run_lu
+    from repro.net.bulk import BulkParams
 
     t0 = time.perf_counter()
     res = run_lu("udp", scale=1 / 64)
     wall = time.perf_counter() - t0
     t0 = time.perf_counter()
-    res_pkt = run_lu("udp", scale=1 / 64, bulk_fastpath=False)
+    res_pkt = run_lu("udp", scale=1 / 64,
+                     bulk=BulkParams(fastpath=False))
     wall_pkt = time.perf_counter() - t0
     assert res == res_pkt, \
         "fast path changed fig7 results — this is a correctness bug"

@@ -785,19 +785,15 @@ def _dispatch(args) -> int:
         tracer = Tracer(kernel_events=getattr(args, "kernel_events", False))
         prev_tracer = install(tracer)
     if wants_telemetry:
-        from repro.core.config import ObsConfig
         from repro.obs.audit import make_auditor
         from repro.obs.eventlog import EventLog, install_eventlog
         from repro.obs.timeseries import Telemetry, install_telemetry
-        obs = ObsConfig(
-            telemetry_interval_s=getattr(args, "telemetry_interval", 1.0),
-            eventlog_level=getattr(args, "events_level", "info"),
-            audit_mode=getattr(args, "audit_mode", "off"))
-        eventlog = EventLog(level=obs.eventlog_level)
-        auditor = make_auditor(obs.audit_mode, eventlog=eventlog)
-        telemetry = Telemetry(interval_s=obs.telemetry_interval_s,
-                              max_samples=obs.telemetry_max_samples,
-                              auditor=auditor, audit_every=obs.audit_every)
+        eventlog = EventLog(level=getattr(args, "events_level", "info"))
+        auditor = make_auditor(getattr(args, "audit_mode", "off"),
+                               eventlog=eventlog)
+        telemetry = Telemetry(
+            interval_s=getattr(args, "telemetry_interval", 1.0),
+            auditor=auditor)
         eventlog.telemetry = telemetry  # shared run numbering
         prev_telemetry = install_telemetry(telemetry)
         prev_eventlog = install_eventlog(eventlog)

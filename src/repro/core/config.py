@@ -7,7 +7,7 @@ threshold, five-minute idle window, 100 MB imd pools in the evaluation,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cluster.idleness import IdlePolicy
 from repro.net.bulk import BulkParams
@@ -21,29 +21,6 @@ RMD_PORT = 6002
 
 #: placement policies accepted by :attr:`DodoConfig.placement`
 PLACEMENTS = ("random", "most-free", "round-robin")
-
-
-@dataclass(frozen=True)
-class ObsConfig:
-    """Observability knobs shared by the CLI and experiment runners.
-
-    One value object so a runner can thread "how should this run be
-    observed" around without a half-dozen loose parameters; the CLI
-    builds one from its ``--telemetry-*`` / ``--events-*`` / ``--audit``
-    flags.  Everything is off by default — simulation code pays nothing
-    unless a subsystem is explicitly installed.
-    """
-
-    #: virtual-time sampling period of the telemetry engine
-    telemetry_interval_s: float = 1.0
-    #: per-run sample cap (guards drain-forever simulations)
-    telemetry_max_samples: int = 200_000
-    #: minimum event-log severity recorded ("debug"/"info"/"warn"/"error")
-    eventlog_level: str = "info"
-    #: invariant-audit mode: "off", "warn" or "raise"
-    audit_mode: str = "off"
-    #: run the audit at every Nth telemetry sample point
-    audit_every: int = 1
 
 
 @dataclass(frozen=True)
@@ -188,11 +165,9 @@ class DodoConfig:
     dedicated: bool = False
 
     # -- bulk transfer ---------------------------------------------------------------
+    #: bulk-transfer tunables, including the flow-level fast-path switch
+    #: ``bulk.fastpath`` (see docs/PERFORMANCE.md)
     bulk: BulkParams = field(default_factory=BulkParams)
-    #: master switch for the flow-level bulk fast path (see
-    #: docs/PERFORMANCE.md); simulated timing is identical either way,
-    #: only the number of simulator events spent computing it changes
-    bulk_fastpath: bool = True
 
     def __post_init__(self):
         """Reject unknown placement names at construction time — the
@@ -201,10 +176,3 @@ class DodoConfig:
             raise ValueError(
                 f"unknown placement {self.placement!r}; choose from "
                 f"{sorted(PLACEMENTS)}")
-
-    def bulk_params(self) -> BulkParams:
-        """Effective bulk parameters: ``bulk`` with the system-wide
-        ``bulk_fastpath`` switch applied."""
-        if self.bulk.fastpath == self.bulk_fastpath:
-            return self.bulk
-        return replace(self.bulk, fastpath=self.bulk_fastpath)

@@ -15,10 +15,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.allocator import make_allocator
-from repro.exp.platform import MB, Platform, PlatformParams
+from repro.exp.platform import MB, PLATFORM_CONFIG, Platform, PlatformParams
 from repro.metrics.report import format_table
 from repro.net.bulk import recv_bulk, send_bulk
 from repro.sim import Simulator
@@ -94,11 +96,9 @@ def run_refraction_ablation(scale: float = 1 / 128,
     out = {}
     for refraction_s in (0.0, 2.0):
         sim = Simulator(seed=seed)
-        params = PlatformParams(store_payload=False).scaled(scale)
-        platform = Platform(sim, params, dodo=True)
-        # shrink the refraction period through a tweaked config
-        object.__setattr__(platform.config, "refraction_period_s",
-                           refraction_s)
+        params = PlatformParams().scaled(scale)
+        platform = Platform(sim, params, dodo=True, config=replace(
+            PLATFORM_CONFIG, refraction_period_s=refraction_s))
         dataset = 2 * platform.remote_pool_total
         dataset -= dataset % 8192
         sp = SyntheticParams(pattern="random", dataset_bytes=dataset,
@@ -141,10 +141,9 @@ def run_policy_ablation(scale: float = 1 / 128, seed: int = 5) -> dict:
     out = {}
     for policy in ("lru", "mru", "first-in"):
         sim = Simulator(seed=seed)
-        params = PlatformParams(store_payload=False).scaled(scale)
+        params = PlatformParams().scaled(scale)
         dataset = 4 * params.local_cache_bytes
         dataset -= dataset % 8192
-        from dataclasses import replace
         params = replace(params, n_memory_hosts=1,
                          imd_pool_bytes=dataset // 8)
         platform = Platform(sim, params, dodo=True)
@@ -187,7 +186,7 @@ def run_prefetch_ablation(scale: float = 1 / 128, seed: int = 7,
     out = {}
     for prefetch in (0, 2):
         sim = Simulator(seed=seed)
-        params = PlatformParams(store_payload=False).scaled(scale)
+        params = PlatformParams().scaled(scale)
         platform = Platform(sim, params, dodo=True)
         cache = RegionCache(platform.runtime(), params.local_cache_bytes,
                             policy="lru", prefetch_regions=prefetch)

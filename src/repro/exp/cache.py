@@ -28,12 +28,14 @@ through the sweep engine instead: ``repro sweep cache-ablation``.
 
 from __future__ import annotations
 
-from repro.cluster.idleness import IdlePolicy
-from repro.core.config import CacheConfig, DodoConfig
+from dataclasses import replace
+
+from repro.core.config import CacheConfig
 from repro.core.regionlib import RegionCache
 from repro.core.runtime import DodoRuntime
-from repro.exp.nondedicated import NonDedicatedParams, build_cluster
-from repro.exp.platform import MB, Platform, PlatformParams
+from repro.exp.nondedicated import (NonDedicatedParams, build_cluster,
+                                    desktop_config)
+from repro.exp.platform import MB, PLATFORM_CONFIG, Platform, PlatformParams
 from repro.metrics.report import format_table
 from repro.sim import Simulator
 from repro.workloads.app import SyntheticRunner
@@ -94,12 +96,8 @@ def _run_nondedicated_cell(cache_cfg: CacheConfig, seed: int,
     p = NonDedicatedParams(idle_window_s=10.0, owner_active_mean_s=20.0,
                            owner_away_mean_s=80.0, seed=seed)
     sim = Simulator(seed=seed)
-    cfg = DodoConfig(transport=p.transport, store_payload=False,
-                     dedicated=False, max_pool_bytes=p.max_pool,
-                     idle_policy=IdlePolicy(window_s=p.idle_window_s),
-                     cache=cache_cfg)
-    cluster, cfg, cmd, rmds, owners = build_cluster(sim, p, dodo=True,
-                                                    config=cfg)
+    cluster, cfg, cmd, rmds, owners = build_cluster(
+        sim, p, dodo=True, config=replace(desktop_config(p), cache=cache_cfg))
 
     # Monitors fork a fresh imd every time a desktop re-idles; poll them
     # so counters of dead incarnations (recorders outlive their daemon)
@@ -156,14 +154,11 @@ def _run_fig7_cell(cache_cfg: CacheConfig, seed: int,
     3 MB of remote pool + 0.5 MB of local cache, so clones evict."""
     sim = Simulator(seed=seed)
     params = PlatformParams(
-        transport="udp", store_payload=False, n_memory_hosts=3,
-        imd_pool_bytes=1 * MB, local_cache_bytes=512 * 1024,
-        app_fs_cache_dodo=256 * 1024, app_fs_cache_baseline=2 * MB,
-        disk_capacity_bytes=64 * MB)
-    cfg = DodoConfig(transport="udp", store_payload=False, dedicated=True,
-                     max_pool_bytes=params.imd_pool_bytes,
-                     cache=cache_cfg)
-    platform = Platform(sim, params, dodo=True, config=cfg)
+        n_memory_hosts=3, imd_pool_bytes=1 * MB,
+        local_cache_bytes=512 * 1024, app_fs_cache_dodo=256 * 1024,
+        app_fs_cache_baseline=2 * MB, disk_capacity_bytes=64 * MB)
+    platform = Platform(sim, params, dodo=True,
+                        config=replace(PLATFORM_CONFIG, cache=cache_cfg))
     sp = SyntheticParams(pattern="hotcold", dataset_bytes=4 * MB,
                          req_size=8192, num_iter=num_iter,
                          compute_s=0.002)

@@ -52,15 +52,22 @@ class NonDedicatedParams:
     idle_window_s: float = 20.0
     owner_active_mean_s: float = 60.0
     owner_away_mean_s: float = 600.0
-    transport: str = "udp"
     seed: int = 9
+
+
+def desktop_config(p: NonDedicatedParams) -> DodoConfig:
+    """The desktop cluster's :class:`DodoConfig`: sizes-only regions,
+    pools capped at ``p.max_pool`` and the idle rule's window shortened
+    to ``p.idle_window_s``.  Callers that need one more knob ``replace()``
+    it on this config."""
+    return DodoConfig(store_payload=False, max_pool_bytes=p.max_pool,
+                      idle_policy=IdlePolicy(window_s=p.idle_window_s))
 
 
 def build_cluster(sim: Simulator, p: NonDedicatedParams, dodo: bool,
                   config: DodoConfig | None = None):
-    """Build the desktop cluster; ``config`` overrides the derived
-    :class:`DodoConfig` (the chaos harness uses this to switch on RPC
-    backoff and imd heartbeat re-registration)."""
+    """Build the desktop cluster under ``config``, by default
+    :func:`desktop_config` of ``p``."""
     hosts = [
         HostSpec("app", total_mem_bytes=128 * MB, has_disk=True,
                  fs_cache_bytes=p.fs_cache if dodo
@@ -71,10 +78,7 @@ def build_cluster(sim: Simulator, p: NonDedicatedParams, dodo: bool,
     for i in range(p.n_desktops):
         hosts.append(HostSpec(f"w{i}", total_mem_bytes=p.desktop_mem))
     cluster = Cluster(sim, ClusterConfig(hosts=hosts))
-    cfg = config or DodoConfig(
-        transport=p.transport, store_payload=False, dedicated=False,
-        max_pool_bytes=p.max_pool,
-        idle_policy=IdlePolicy(window_s=p.idle_window_s))
+    cfg = config or desktop_config(p)
     rmds, owners = [], []
     cmd = None
     if dodo:

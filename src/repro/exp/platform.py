@@ -35,10 +35,10 @@ MB = 1024 * 1024
 
 @dataclass(frozen=True)
 class PlatformParams:
-    """Sizes and switches of one platform instance."""
+    """The testbed's shape: host count and sizes.  Every Dodo knob
+    (transport, payload mode, sharding, fast paths) lives on the
+    platform's one :class:`DodoConfig`."""
 
-    transport: str = "udp"
-    store_payload: bool = False
     n_memory_hosts: int = 12
     #: per-imd pool (paper: 100 MB each => 1200 MB total)
     imd_pool_bytes: int = 100 * MB
@@ -55,18 +55,6 @@ class PlatformParams:
     frame_loss_prob: float = 0.0
     fs_params: Optional[FsParams] = None
     allocator_kind: str = "first-fit"
-    #: engage the flow-level bulk fast path (timing-identical; False
-    #: forces every transfer through the packet-by-packet simulation)
-    bulk_fastpath: bool = True
-    #: engage the flow-level datagram (RPC) fast path, same contract
-    dgram_fastpath: bool = True
-    #: number of region-directory shards (1 + no replication + no
-    #: service time = the paper's single manager, byte-identical)
-    shards: int = 1
-    #: give each shard a log-shipping backup manager
-    replication: bool = False
-    #: modeled per-directory-op CPU time on each shard manager
-    mgr_service_s: float = 0.0
 
     def scaled(self, scale: float) -> "PlatformParams":
         """Shrink every size by ``scale``, preserving ratios."""
@@ -82,22 +70,28 @@ class PlatformParams:
         )
 
 
+#: the evaluation platform's Dodo configuration: the paper's system with
+#: sizes-only regions (the experiments time data movement, they never
+#: look at the bytes)
+PLATFORM_CONFIG = DodoConfig(store_payload=False)
+
+
 class Platform:
-    """A built evaluation platform: cluster + Dodo daemons + app node."""
+    """A built evaluation platform: cluster + Dodo daemons + app node.
+
+    ``config`` is the one source of every Dodo knob, the cluster's
+    payload mode (``store_payload``) included; ``params`` only shapes
+    the testbed.
+    """
 
     def __init__(self, sim: Simulator, params: PlatformParams | None = None,
-                 dodo: bool = True, config: DodoConfig | None = None,
+                 dodo: bool = True, config: DodoConfig = PLATFORM_CONFIG,
                  faults=None, nemesis_auditor=None):
         self.sim = sim
         self.params = params or PlatformParams()
         p = self.params
         self.dodo_enabled = dodo
-        self.config = config or DodoConfig(
-            transport=p.transport, store_payload=p.store_payload,
-            dedicated=True, max_pool_bytes=p.imd_pool_bytes,
-            bulk_fastpath=p.bulk_fastpath, shards=p.shards,
-            replication=p.replication, mgr_service_s=p.mgr_service_s)
-        cfg = self.config
+        self.config = cfg = config
         #: sharded-directory mode engages whenever any PR 9 knob is on,
         #: so a 1-shard serve-bench run exercises the same code path as
         #: an 8-shard one (fair scaling comparison)
@@ -124,8 +118,7 @@ class Platform:
             hosts.append(HostSpec(f"mem{i:02d}", total_mem_bytes=128 * MB))
         self.cluster = Cluster(sim, ClusterConfig(
             hosts=hosts, frame_loss_prob=p.frame_loss_prob,
-            store_data=p.store_payload,
-            dgram_fastpath=p.dgram_fastpath))
+            store_data=cfg.store_payload))
 
         self.app = self.cluster["app"]
         self.mgr = self.cluster["mgr00" if self.sharded else "mgr"]
@@ -161,11 +154,11 @@ class Platform:
                         self.shard_managers[i].append(backup)
                 self.cmd = self.cmds[0]
             else:
-                self.cmd = CentralManager(sim, self.mgr, self.config)
+                self.cmd = CentralManager(sim, self.mgr, cfg)
             for i in range(p.n_memory_hosts):
                 ws = self.cluster[f"mem{i:02d}"]
                 imd = IdleMemoryDaemon(
-                    sim, ws, self.config, epoch=1,
+                    sim, ws, cfg, epoch=1,
                     cmd_host=None if self.sharded else "mgr",
                     pool_bytes=p.imd_pool_bytes,
                     allocator_kind=p.allocator_kind,

@@ -37,6 +37,7 @@ client re-registration on manager-incarnation change.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.faults.generate import random_plan
@@ -87,18 +88,28 @@ class ChaosRunner:
             yield inner.fs.read(inner.fh, offset, length)
 
 
-def _chaos_config(base_kwargs: dict, cache=None):
-    """A DodoConfig with the fault-tolerance knobs switched on.
+def chaos_platform():
+    """The dedicated scenarios' testbed: four memory hosts with 2 MB
+    pools under a 2 MB hot/cold dataset."""
+    from repro.exp.platform import PlatformParams
+    return PlatformParams(
+        n_memory_hosts=4, imd_pool_bytes=2 * MB,
+        local_cache_bytes=512 * 1024, app_fs_cache_dodo=1 * MB,
+        app_fs_cache_baseline=4 * MB, disk_capacity_bytes=256 * MB)
+
+
+def chaos_config(base, cache=None, **knobs):
+    """``base`` (a DodoConfig) with the fault-tolerance knobs switched
+    on, plus any further ``knobs``.
 
     ``cache`` (a :class:`~repro.core.config.CacheConfig`) opts the run
     into the elastic-caching subsystem; None keeps the stock
     byte-identical configuration.
     """
-    from repro.core.config import DodoConfig
     if cache is not None:
-        base_kwargs["cache"] = cache
-    return DodoConfig(rpc_backoff_s=0.02, rpc_backoff_jitter=0.25,
-                      imd_reregister_s=2.0, **base_kwargs)
+        knobs["cache"] = cache
+    return replace(base, rpc_backoff_s=0.02, rpc_backoff_jitter=0.25,
+                   imd_reregister_s=2.0, **knobs)
 
 
 def _plan_end(plan: FaultPlan) -> float:
@@ -133,13 +144,14 @@ def run_chaos(experiment: str = "fig7", seed: int = 0,
 # -- scenarios ---------------------------------------------------------------
 def _run_fig7(seed, plan, audit, horizon_s, eventlog_level,
               cache=None) -> dict:
-    from repro.exp.platform import Platform, PlatformParams
+    from repro.exp.platform import PLATFORM_CONFIG, Platform
     from repro.obs.audit import make_auditor
     from repro.obs.eventlog import EventLog, install_eventlog
     from repro.sim import Simulator
     from repro.workloads.synthetic import SyntheticParams
 
-    n_mem = 4
+    params = chaos_platform()
+    n_mem = params.n_memory_hosts
     hosts = ["app", "mgr"] + [f"mem{i:02d}" for i in range(n_mem)]
     if plan is None:
         plan = random_plan(seed, hosts, horizon_s=horizon_s,
@@ -150,16 +162,9 @@ def _run_fig7(seed, plan, audit, horizon_s, eventlog_level,
     previous = install_eventlog(log)
     try:
         sim = Simulator(seed=seed)
-        params = PlatformParams(
-            transport="udp", store_payload=False, n_memory_hosts=n_mem,
-            imd_pool_bytes=2 * MB, local_cache_bytes=512 * 1024,
-            app_fs_cache_dodo=1 * MB, app_fs_cache_baseline=4 * MB,
-            disk_capacity_bytes=256 * MB)
         platform = Platform(
             sim, params, dodo=True,
-            config=_chaos_config(dict(
-                transport="udp", store_payload=False, dedicated=True,
-                max_pool_bytes=2 * MB), cache),
+            config=chaos_config(PLATFORM_CONFIG, cache),
             faults=plan, nemesis_auditor=auditor)
         runner = ChaosRunner(platform, SyntheticParams(
             pattern="hotcold", dataset_bytes=2 * MB, req_size=8192,
@@ -178,13 +183,14 @@ def _run_fig7(seed, plan, audit, horizon_s, eventlog_level,
 
 def _run_failover(seed, plan, audit, horizon_s, eventlog_level,
                   cache=None) -> dict:
-    from repro.exp.platform import Platform, PlatformParams
+    from repro.exp.platform import PLATFORM_CONFIG, Platform
     from repro.obs.audit import make_auditor
     from repro.obs.eventlog import EventLog, install_eventlog
     from repro.sim import Simulator
     from repro.workloads.synthetic import SyntheticParams
 
-    n_mem, n_shards = 4, 2
+    params = chaos_platform()
+    n_mem, n_shards = params.n_memory_hosts, 2
     mgr_hosts = [h for i in range(n_shards)
                  for h in (f"mgr{i:02d}", f"bak{i:02d}")]
     hosts = ["app"] + mgr_hosts + [f"mem{i:02d}" for i in range(n_mem)]
@@ -199,18 +205,10 @@ def _run_failover(seed, plan, audit, horizon_s, eventlog_level,
     previous = install_eventlog(log)
     try:
         sim = Simulator(seed=seed)
-        params = PlatformParams(
-            transport="udp", store_payload=False, n_memory_hosts=n_mem,
-            imd_pool_bytes=2 * MB, local_cache_bytes=512 * 1024,
-            app_fs_cache_dodo=1 * MB, app_fs_cache_baseline=4 * MB,
-            disk_capacity_bytes=256 * MB,
-            shards=n_shards, replication=True)
         platform = Platform(
             sim, params, dodo=True,
-            config=_chaos_config(dict(
-                transport="udp", store_payload=False, dedicated=True,
-                max_pool_bytes=2 * MB,
-                shards=n_shards, replication=True), cache),
+            config=chaos_config(PLATFORM_CONFIG, cache, shards=n_shards,
+                                 replication=True),
             faults=plan, nemesis_auditor=auditor)
         runner = ChaosRunner(platform, SyntheticParams(
             pattern="hotcold", dataset_bytes=2 * MB, req_size=8192,
@@ -229,8 +227,8 @@ def _run_failover(seed, plan, audit, horizon_s, eventlog_level,
 
 def _run_nondedicated(seed, plan, audit, horizon_s,
                       eventlog_level, cache=None) -> dict:
-    from repro.cluster.idleness import IdlePolicy
-    from repro.exp.nondedicated import NonDedicatedParams, build_cluster
+    from repro.exp.nondedicated import (NonDedicatedParams, build_cluster,
+                                        desktop_config)
     from repro.obs.audit import make_auditor
     from repro.obs.eventlog import EventLog, install_eventlog
     from repro.sim import Simulator
@@ -249,12 +247,8 @@ def _run_nondedicated(seed, plan, audit, horizon_s,
     previous = install_eventlog(log)
     try:
         sim = Simulator(seed=seed)
-        cfg = _chaos_config(dict(
-            transport=p.transport, store_payload=False, dedicated=False,
-            max_pool_bytes=p.max_pool,
-            idle_policy=IdlePolicy(window_s=p.idle_window_s)), cache)
         cluster, cfg, cmd, rmds, owners = build_cluster(
-            sim, p, dodo=True, config=cfg)
+            sim, p, dodo=True, config=chaos_config(desktop_config(p), cache))
         targets = _NonDedicatedTargets(sim, cluster, cfg, cmd, rmds)
         nemesis = Nemesis(targets, plan, auditor=auditor)
         nemesis.start()

@@ -290,26 +290,23 @@ def run_scenario(scenario: str, seed: int = 0,
 
 def _run_fig7(seed, policy: WhatIfPolicy, chaos, horizon_s,
               auditor) -> dict:
-    from repro.exp.platform import Platform, PlatformParams
+    from repro.exp.platform import PLATFORM_CONFIG, Platform
+    from repro.faults.chaos import chaos_config, chaos_platform
     from repro.faults.generate import random_plan
     from repro.sim import Simulator
     from repro.workloads.synthetic import SyntheticParams
 
-    n_mem = 4
+    params = chaos_platform()
+    n_mem = params.n_memory_hosts
     hosts = ["app", "mgr"] + [f"mem{i:02d}" for i in range(n_mem)]
     plan = None
     if chaos:
         plan = random_plan(seed, hosts, horizon_s=horizon_s,
                            protected=("app", "mgr"), experiment="fig7")
     sim = Simulator(seed=seed)
-    params = PlatformParams(
-        transport="udp", store_payload=False, n_memory_hosts=n_mem,
-        imd_pool_bytes=2 * MB, local_cache_bytes=512 * 1024,
-        app_fs_cache_dodo=1 * MB, app_fs_cache_baseline=4 * MB,
-        disk_capacity_bytes=256 * MB)
-    config = _scenario_config(dict(
-        transport="udp", store_payload=False, dedicated=True,
-        max_pool_bytes=2 * MB, placement=policy.placement))
+    # the hardening knobs are on with or without faults, so no-chaos and
+    # chaos recordings share baselines
+    config = chaos_config(PLATFORM_CONFIG, placement=policy.placement)
     platform = Platform(sim, params, dodo=True, config=config,
                         faults=plan, nemesis_auditor=auditor)
     runner = MeasuringRunner(platform, SyntheticParams(
@@ -330,7 +327,9 @@ def _run_nondedicated(seed, policy: WhatIfPolicy, chaos, horizon_s,
     from repro.cluster.idleness import IdlePolicy
     from repro.core.regionlib import RegionCache
     from repro.core.runtime import DodoRuntime
-    from repro.exp.nondedicated import NonDedicatedParams, build_cluster
+    from repro.exp.nondedicated import (NonDedicatedParams, build_cluster,
+                                        desktop_config)
+    from repro.faults.chaos import chaos_config
     from repro.faults.generate import random_plan
     from repro.faults.nemesis import Nemesis
     from repro.sim import Simulator
@@ -351,10 +350,8 @@ def _run_nondedicated(seed, policy: WhatIfPolicy, chaos, horizon_s,
                            start_s=warmup, protected=("app", "mgr"),
                            experiment="nondedicated")
     sim = Simulator(seed=seed)
-    config = _scenario_config(dict(
-        transport=p.transport, store_payload=False, dedicated=False,
-        max_pool_bytes=p.max_pool, idle_policy=idle,
-        placement=policy.placement))
+    config = chaos_config(desktop_config(p), idle_policy=idle,
+                          placement=policy.placement)
     cluster, cfg, cmd, rmds, owners = build_cluster(
         sim, p, dodo=True, config=config)
     nemesis = None
@@ -394,15 +391,6 @@ def _run_nondedicated(seed, policy: WhatIfPolicy, chaos, horizon_s,
         targets.audit(auditor, teardown=True)
     return {"runner": runner, "result": result, "evictions": evictions,
             "sim": sim}
-
-
-def _scenario_config(base_kwargs: dict):
-    """A DodoConfig with the chaos-hardening knobs on (scenarios may be
-    recorded with or without faults; the config must not depend on it or
-    the no-chaos and chaos runs would not share baselines)."""
-    from repro.core.config import DodoConfig
-    return DodoConfig(rpc_backoff_s=0.02, rpc_backoff_jitter=0.25,
-                      imd_reregister_s=2.0, **base_kwargs)
 
 
 def _settle(sim, config, plan) -> None:

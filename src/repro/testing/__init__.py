@@ -19,6 +19,7 @@ no helper draws randomness of its own.
 
 from __future__ import annotations
 
+from repro.core.config import DodoConfig
 from repro.exp.platform import MB, Platform, PlatformParams
 from repro.net import NIC, Network, TransportEndpoint, transport_params
 
@@ -26,18 +27,16 @@ __all__ = ["MB", "TinyNet", "make_backing_file", "make_net",
            "make_platform", "run"]
 
 
-def make_platform(sim, *, transport="udp", n_hosts=3, pool_mb=2,
-                  local_cache_kb=256, store_payload=True, loss=0.0,
-                  dodo=True, allocator="first-fit", config=None,
-                  faults=None, nemesis_auditor=None):
+def make_platform(sim, *, n_hosts=3, pool_mb=2, local_cache_kb=256,
+                  loss=0.0, dodo=True, allocator="first-fit",
+                  config=DodoConfig(), faults=None, nemesis_auditor=None):
     """A tiny functional platform: ``n_hosts`` memory hosts x 2 MB pools.
 
-    ``faults`` (a :class:`~repro.faults.plan.FaultPlan`) attaches a
-    nemesis; ``config`` overrides the derived :class:`DodoConfig` (the
-    chaos harness passes one with the fault-tolerance knobs on).
+    ``config`` carries every Dodo knob (the default moves real bytes
+    over UDP); ``faults`` (a :class:`~repro.faults.plan.FaultPlan`)
+    attaches a nemesis.
     """
     params = PlatformParams(
-        transport=transport, store_payload=store_payload,
         n_memory_hosts=n_hosts, imd_pool_bytes=pool_mb * MB,
         local_cache_bytes=local_cache_kb * 1024,
         app_fs_cache_dodo=1 * MB, app_fs_cache_baseline=4 * MB,

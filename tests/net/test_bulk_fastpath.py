@@ -438,14 +438,46 @@ def test_simulator_at_rejects_past_times():
     sim.run(until=sim.process(proc()))
 
 
-def test_config_toggle_controls_fastpath():
+def _platform_region_traffic(bulk):
+    """Write and read back four 64 KB regions on a Dodo platform built
+    with ``bulk``; returns the virtual times, the bytes read and the
+    network's bulk fast-path count."""
     from repro.core.config import DodoConfig
-    on = DodoConfig(bulk_fastpath=True)
-    off = DodoConfig(bulk_fastpath=False)
-    assert on.bulk_params().fastpath is True
-    assert off.bulk_params().fastpath is False
-    # the default BulkParams inside the config is reused when it agrees
-    assert on.bulk_params() is on.bulk
+    from repro.testing import make_backing_file, make_platform
+    sim = Simulator(seed=31)
+    platform = make_platform(sim, config=DodoConfig(bulk=bulk))
+    lib = platform.runtime()
+    fd = make_backing_file(platform)
+    times, reads = [], []
+
+    def proc():
+        for i in range(4):
+            desc, err = yield from lib.mopen(64 * 1024, fd, i * 64 * 1024)
+            assert err == 0
+            yield from lib.mwrite(desc, 0, 64 * 1024, bytes([i]) * 65536)
+            times.append(sim.now)
+            n, err, data = yield from lib.mread(desc, 0, 64 * 1024)
+            assert err == 0
+            reads.append(bytes(data))
+            times.append(sim.now)
+
+    sim.run(until=sim.process(proc()))
+    return times, reads, platform.cluster.network.stats.count(
+        "fastpath.transfers")
+
+
+def test_platform_packet_path_matches_fastpath():
+    """``BulkParams(fastpath=False)`` on the platform's one config sends
+    every region transfer through the packet path, at the same virtual
+    times as the fast-path build."""
+    fast_times, fast_reads, fast_count = _platform_region_traffic(
+        BulkParams())
+    pkt_times, pkt_reads, pkt_count = _platform_region_traffic(
+        BulkParams(fastpath=False))
+    assert fast_count > 0
+    assert pkt_count == 0
+    assert pkt_times == fast_times
+    assert pkt_reads == fast_reads == [bytes([i]) * 65536 for i in range(4)]
 
 
 def test_partition_is_zero_copy():

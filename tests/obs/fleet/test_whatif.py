@@ -60,7 +60,7 @@ def test_measuring_runner_does_not_perturb_the_workload():
     def run(cls):
         sim = Simulator(seed=7)
         platform = Platform(
-            sim, PlatformParams(store_payload=False).scaled(1 / 256),
+            sim, PlatformParams().scaled(1 / 256),
             dodo=True)
         sp = SyntheticParams(pattern="hotcold", dataset_bytes=2 * MB,
                              req_size=8192, num_iter=2, compute_s=0.002)
