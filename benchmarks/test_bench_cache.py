@@ -1,11 +1,12 @@
 """Cache-bench checks: the elastic-caching ablation and its claim.
 
 The caching ablation (:mod:`repro.exp.cache`) replays the Figure 7
-and non-dedicated workloads under every eviction policy, then adds
-the hotspot-migration variant on the non-dedicated workload.  Every
+and non-dedicated workloads with no eviction and with cost-aware
+eviction, then adds the hotspot-migration variant on the
+non-dedicated workload.  Every
 reported number is virtual-time-only and byte-identical per seed, so
 the gate compares the baseline exactly — no machine normalization.
-See docs/CACHING.md for the policy semantics and the migration
+See docs/CACHING.md for the eviction semantics and the migration
 protocol behind these numbers.
 
 The pytest tests run the claim pair (cost-aware reclaim with and

@@ -51,8 +51,8 @@ observability and writes a *run directory* (telemetry + event log +
 canonical metrics).  ``repro serve <run-dir|scenario>`` serves the fleet
 dashboard over it — or live, against a scenario still executing.
 ``repro whatif <run-dir>`` replays a recorded run under a changed
-recruitment/placement/replacement policy and prints the side-by-side
-delta.  See docs/OBSERVABILITY.md.
+recruitment/replacement policy and prints the side-by-side delta.  See
+docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
@@ -141,17 +141,16 @@ def cmd_nondedicated(args) -> None:
 
 
 def cmd_cache(args) -> None:
-    """Elastic-caching ablation: eviction policies × workloads, plus
-    the migration variant (docs/CACHING.md)."""
+    """Elastic-caching ablation: no eviction vs cost-aware eviction on
+    each workload, plus the migration variant (docs/CACHING.md)."""
     from repro.exp.cache import format_cache, run_cache_ablation
     try:
         results = run_cache_ablation(
             seed=args.seed, num_iter=args.iters,
-            policies=tuple(args.policies),
             workloads=tuple(args.workloads))
     except ValueError as exc:
-        # unknown policy / workload names land here from config
-        # validation: one repro: line and exit 2, not a traceback
+        # unknown workload names land here: one repro: line and exit
+        # 2, not a traceback
         raise CliError(str(exc)) from exc
     print(format_cache(results))
     if args.out:
@@ -254,11 +253,10 @@ def cmd_sweep(args) -> int:
 
 
 def _policy_from_args(args):
-    """A WhatIfPolicy from --replacement/--placement/... (None = keep)."""
+    """A WhatIfPolicy from the policy flags (None = keep)."""
     from repro.obs.fleet.whatif import WhatIfPolicy
     return WhatIfPolicy(
         replacement=args.replacement or "lru",
-        placement=args.placement or "random",
         idle_window_s=args.idle_window,
         load_threshold=args.load_threshold)
 
@@ -288,7 +286,6 @@ def cmd_whatif(args) -> None:
     from repro.obs.fleet.whatif import format_whatif, run_whatif
     try:
         doc = run_whatif(args.run_dir, replacement=args.replacement,
-                         placement=args.placement,
                          idle_window_s=args.idle_window,
                          load_threshold=args.load_threshold)
     except (RunDirError, ValueError) as exc:
@@ -449,14 +446,9 @@ def _add_experiment_args(p: argparse.ArgumentParser, name: str) -> None:
     if name == "nondedicated":
         p.add_argument("--iters", type=int, default=4)
     if name == "cache":
-        # policy/workload names are validated by the config layer, not
-        # argparse choices, so typos produce the one-line repro: error
-        # that names every accepted value
-        p.add_argument("--policies", nargs="+", metavar="POLICY",
-                       default=["none", "lru", "lfu", "clock",
-                                "cost-aware"],
-                       help="eviction policies to ablate (default: "
-                            "none lru lfu clock cost-aware)")
+        # workload names are validated by the driver, not argparse
+        # choices, so typos produce the one-line repro: error that
+        # names every accepted value
         p.add_argument("--workloads", nargs="+", metavar="WORKLOAD",
                        default=["nondedicated", "fig7"],
                        help="workloads to run each policy on "
@@ -627,15 +619,12 @@ def _add_policy_args(p: argparse.ArgumentParser) -> None:
     """The what-if policy knobs shared by ``record`` and ``whatif``.
 
     All default to None: ``record`` fills in the scenario defaults
-    (lru/random), ``whatif`` treats None as "keep the recorded value".
+    (lru), ``whatif`` treats None as "keep the recorded value".
     """
-    from repro.core.manager import PLACEMENTS
     from repro.core.policy import POLICIES
     p.add_argument("--replacement", default=None,
                    choices=sorted(POLICIES),
                    help="region-cache replacement policy")
-    p.add_argument("--placement", default=None, choices=PLACEMENTS,
-                   help="manager host-placement policy")
     p.add_argument("--idle-window", type=float, default=None,
                    metavar="SECONDS",
                    help="recruitment idle-window (nondedicated only)")

@@ -9,8 +9,8 @@ Components (paper Section 4):
 * :mod:`repro.core.regionlib` — libmanage: the region-management layer
   (copen/cread/cwrite/cclose/csync/csetPolicy) and the grimReaper
   space reclaimer
-* :mod:`repro.core.policy` — replacement policies (LRU/MRU/first-in,
-  LFU/CLOCK/cost-aware) shared by the region cache and the imd pools
+* :mod:`repro.core.policy` — replacement policies (LRU/MRU/first-in/
+  cost-aware) shared by the region cache and the imd pools
 * :mod:`repro.core.allocator` — imd pool allocators (first-fit + buddy)
 """
 

@@ -19,9 +19,6 @@ CMD_PORT = 6000
 IMD_PORT = 6001
 RMD_PORT = 6002
 
-#: placement policies accepted by :attr:`DodoConfig.placement`
-PLACEMENTS = ("random", "most-free", "round-robin")
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -33,9 +30,9 @@ class CacheConfig:
     byte-identical event streams — so every paper experiment is
     unaffected unless a run opts in.
 
-    Accepted ``policy`` values: ``"none"`` (off) or any name in
-    :data:`repro.core.policy.POLICIES` — the same registry the client
-    region cache draws from.
+    Accepted ``policy`` values: ``"none"`` (off) or ``"cost-aware"``
+    (:class:`repro.core.policy.CostAwarePolicy`, the donor policy whose
+    migration pair ``benchmarks/BENCH_cache.json`` gates).
     """
 
     #: donor-side eviction policy: "none" disables the subsystem
@@ -53,8 +50,7 @@ class CacheConfig:
     def __post_init__(self):
         """Validate the policy name early (a typo should fail at config
         construction with a clear message, not deep inside a daemon)."""
-        from repro.core.policy import POLICIES
-        accepted = ("none",) + tuple(POLICIES)
+        accepted = ("none", "cost-aware")
         if self.policy not in accepted:
             raise ValueError(
                 f"unknown cache policy {self.policy!r}; choose from "
@@ -70,10 +66,9 @@ class CacheConfig:
 class DodoConfig:
     """System-wide configuration shared by daemons and libraries.
 
-    Accepted ``placement`` values: ``"random"``, ``"most-free"``,
-    ``"round-robin"``; anything else raises :class:`ValueError` at
-    construction.  The ``cache`` block (:class:`CacheConfig`) is
-    validated the same way.
+    The manager places each region on a uniformly random idle host with
+    enough space (the paper's placement).  The ``cache`` block
+    (:class:`CacheConfig`) rejects unknown policy names at construction.
     """
 
     #: transport for all Dodo traffic: "udp" or "unet"
@@ -89,15 +84,9 @@ class DodoConfig:
     #: include the client id in region keys (the paper's planned
     #: multi-client extension, Section 4.3 footnote)
     multi_client_keys: bool = False
-    #: region placement over the IWD candidates: "random" (the paper's
-    #: behavior — a uniformly random idle host with enough space),
-    #: "most-free" (largest free-block hint first) or "round-robin"
-    #: (cycle through candidates in IWD order).  The what-if replayer
-    #: (repro whatif) exists to compare these.
-    placement: str = "random"
-    #: elastic-caching policy block: donor-side eviction policy, online
-    #: policy selection and hotspot-aware migration (docs/CACHING.md);
-    #: the default is completely inert
+    #: elastic-caching policy block: donor-side eviction and
+    #: hotspot-aware migration (docs/CACHING.md); the default is
+    #: completely inert
     cache: CacheConfig = field(default_factory=CacheConfig)
 
     # -- manager sharding / replication (PR 9) -------------------------------
@@ -168,11 +157,3 @@ class DodoConfig:
     #: bulk-transfer tunables, including the flow-level fast-path switch
     #: ``bulk.fastpath`` (see docs/PERFORMANCE.md)
     bulk: BulkParams = field(default_factory=BulkParams)
-
-    def __post_init__(self):
-        """Reject unknown placement names at construction time — the
-        CLI turns this into a one-line ``repro: ...`` error (exit 2)."""
-        if self.placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {self.placement!r}; choose from "
-                f"{sorted(PLACEMENTS)}")

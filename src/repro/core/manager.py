@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.config import CMD_PORT, PLACEMENTS, DodoConfig
+from repro.core.config import CMD_PORT, DodoConfig
 from repro.core.descriptors import RegionKey, RegionStruct
 from repro.core.shard import ShardMap
 from repro.cluster.workstation import Workstation
@@ -220,11 +220,6 @@ class CentralManager:
                               else f"cmd{shard_id}")
         self._rng = sim.rng("cmd.placement" if shard_map is None
                             else f"cmd{shard_id}.placement")
-        if config.placement not in PLACEMENTS:  # defense in depth: the
-            # config's own __post_init__ already rejects unknown names
-            raise ValueError(f"unknown placement {config.placement!r}, "
-                             f"expected one of {sorted(PLACEMENTS)}")
-        self._rr = 0  # round-robin cursor (placement="round-robin")
         self.endpoint = ws.endpoint(config.transport)
         self.port = port
         self._sock = self.endpoint.socket(port=port)
@@ -911,28 +906,15 @@ class CentralManager:
         return candidates
 
     def _pick_candidate(self, candidates: list[str]) -> str:
-        """Remove and return the next host to try, per the configured
-        placement policy.  "random" draws from the seeded placement
-        stream (the paper's behavior, bit-identical to the original
-        implementation); "most-free" prefers the largest free-block
-        hint; "round-robin" cycles through candidates in IWD order."""
-        placement = self.config.placement
-        if placement == "most-free":
-            idx = max(range(len(candidates)),
-                      key=lambda i: (self.iwd[candidates[i]].largest_free
-                                     if candidates[i] in self.iwd else -1,
-                                     -i))
-            return candidates.pop(idx)
-        if placement == "round-robin":
-            idx = self._rr % len(candidates)
-            self._rr += 1
-            return candidates.pop(idx)
+        """Remove and return the next host to try: a uniformly random
+        candidate drawn from the seeded placement stream (the paper's
+        placement)."""
         return candidates.pop(int(self._rng.integers(0, len(candidates))))
 
     def _h_alloc(self, args: dict, src):
         """Generator handler: place a new region on an idle host with
-        enough space (chosen by :attr:`DodoConfig.placement`), verifying
-        hints before trusting them."""
+        enough space (a uniformly random candidate), verifying hints
+        before trusting them."""
         client = self._track_client(args, src)
         key = _unwire_key(args["key"])
         length = int(args["length"])

@@ -12,7 +12,7 @@ serves both caches that need one:
   (docs/CACHING.md) — keys are pool offsets, and regions with an
   in-flight transfer are *pinned* so they are never victims.
 
-Six implementations, all registered in :data:`POLICIES`:
+Four implementations, all registered in :data:`POLICIES`:
 
 * **lru** — evict the least recently used region (the paper's default);
 * **mru** — evict the most recently used (good for cyclic scans larger
@@ -21,11 +21,10 @@ Six implementations, all registered in :data:`POLICIES`:
   them*; motivated by Uysal et al.'s finding that data-intensive
   applications overwhelmingly do sequential/triangle scans, where LRU
   flushes the whole cache every pass and first-in keeps a stable prefix;
-* **lfu** — evict the least frequently touched region;
-* **clock** — second-chance reference bits, an O(1) LRU approximation;
 * **cost-aware** — GreedyDual-Size-Frequency: refetch-cost-weighted, so
   small regions (whose refetch is dominated by the disk seek) and hot
-  regions are kept over large cold streaming ones.
+  regions are kept over large cold streaming ones.  The imd pools accept
+  only this policy (:class:`~repro.core.config.CacheConfig`).
 
 Everything here is deterministic: no wall clock, no RNG — victim order
 is a pure function of the access history, so identically-seeded runs
@@ -158,90 +157,6 @@ class FirstInPolicy(CachePolicy):
         return None  # refuse: newcomers bypass the cache instead
 
 
-class LfuPolicy(CachePolicy):
-    """Least-frequently-used: evict the region with the fewest touches
-    (ties break LRU-then-smallest-key, so a scan of cold regions drains
-    in access order)."""
-
-    name = "lfu"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._tick = 0
-        self._last: dict[int, int] = {}
-
-    def on_insert(self, key: int, size: int) -> None:
-        super().on_insert(key, size)
-        self._tick += 1
-        self._last[key] = self._tick
-
-    def on_access(self, key: int) -> None:
-        if key in self._last:
-            super().on_access(key)
-            self._tick += 1
-            self._last[key] = self._tick
-
-    def on_remove(self, key: int) -> None:
-        super().on_remove(key)
-        self._last.pop(key, None)
-
-    def victim(self, pinned: Optional[set] = None) -> Optional[int]:
-        pinned = pinned or ()
-        best = None
-        for key, freq in self._heat.items():
-            if key in pinned:
-                continue
-            rank = (freq, self._last[key], key)
-            if best is None or rank < best[0]:
-                best = (rank, key)
-        return best[1] if best is not None else None
-
-
-class ClockPolicy(CachePolicy):
-    """CLOCK (second chance): a circular sweep over the regions; an
-    accessed region's reference bit buys it one more lap before it can
-    be evicted.  Approximates LRU at O(1) per access."""
-
-    name = "clock"
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: insertion-ordered ring of (key -> reference bit)
-        self._ref: OrderedDict[int, bool] = OrderedDict()
-
-    def on_insert(self, key: int, size: int) -> None:
-        super().on_insert(key, size)
-        self._ref[key] = False
-
-    def on_access(self, key: int) -> None:
-        if key in self._ref:
-            self._ref[key] = True
-            super().on_access(key)
-
-    def on_remove(self, key: int) -> None:
-        super().on_remove(key)
-        self._ref.pop(key, None)
-
-    def victim(self, pinned: Optional[set] = None) -> Optional[int]:
-        pinned = pinned or ()
-        eligible = [k for k in self._ref if k not in pinned]
-        if not eligible:
-            return None
-        # Sweep the hand: clear reference bits until an unreferenced,
-        # unpinned region comes up.  Two laps suffice — after one lap
-        # every eligible bit is clear (the second-chance invariant).
-        for _ in range(2 * len(self._ref)):
-            key, ref = next(iter(self._ref.items()))
-            self._ref.move_to_end(key)  # advance the hand
-            if key in pinned:
-                continue
-            if ref:
-                self._ref[key] = False  # second chance spent
-                continue
-            return key
-        return eligible[0]  # pragma: no cover - defensive
-
-
 class CostAwarePolicy(CachePolicy):
     """GreedyDual-Size-Frequency: evict the region with the lowest
     ``clock + frequency * refetch_cost / size``.
@@ -296,7 +211,7 @@ class CostAwarePolicy(CachePolicy):
 #: every replacement policy, by config/CLI name
 POLICIES: dict[str, type[CachePolicy]] = {
     cls.name: cls for cls in (LruPolicy, MruPolicy, FirstInPolicy,
-                              LfuPolicy, ClockPolicy, CostAwarePolicy)
+                              CostAwarePolicy)
 }
 
 

@@ -36,7 +36,7 @@ class ResourceMonitor:
 
     def __init__(self, sim: Simulator, ws: Workstation, config: DodoConfig,
                  cmd_host: str, allocator_kind: str = "first-fit",
-                 preferences=None):
+                 preferences=None, imds: Optional[list] = None):
         self.sim = sim
         self.ws = ws
         self.config = config
@@ -46,6 +46,9 @@ class ResourceMonitor:
         #: additionally requires every rule to allow it
         self.preferences = preferences
         self.imd: Optional[IdleMemoryDaemon] = None
+        #: every imd this monitor forks is appended here, when given (a
+        #: platform's list of all incarnations, see DesktopPlatform)
+        self.imds = imds
         #: imd incarnation counter; becomes each imd's epoch so the
         #: central manager can spot regions from dead incarnations
         self.epoch = 0
@@ -138,6 +141,8 @@ class ResourceMonitor:
         self.imd = IdleMemoryDaemon(
             self.sim, self.ws, self.config, epoch=self.epoch,
             cmd_host=self.cmd_host, allocator_kind=self.allocator_kind)
+        if self.imds is not None:
+            self.imds.append(self.imd)
         yield self.imd.register()
         self.recruited = True
         self.stats.add("recruits")

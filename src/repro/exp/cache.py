@@ -1,11 +1,11 @@
-"""Elastic-caching ablation: eviction policies × workloads × migration.
+"""Elastic-caching ablation: eviction × workloads × migration.
 
 The elastic-caching subsystem (docs/CACHING.md) turns the imd pools
-from plain allocators into managed caches: a pluggable eviction policy
-(:mod:`repro.core.policy`) and hotspot-aware migration that moves a
-busy donor's hot regions to another donor instead of letting reclaim
-destroy them.  This driver measures what each piece
-buys, on two deliberately different workloads:
+from plain allocators into managed caches: cost-aware eviction
+(:class:`repro.core.policy.CostAwarePolicy`) and hotspot-aware
+migration that moves a busy donor's hot regions to another donor
+instead of letting reclaim destroy them.  This driver measures what
+each piece buys, on two deliberately different workloads:
 
 * ``nondedicated`` — the Section 5.3.1 desktop cluster with owners that
   come and go faster than the stock experiment, so reclaims land in the
@@ -14,15 +14,15 @@ buys, on two deliberately different workloads:
   on another donor) or vanish (and become disk refetches).
 * ``fig7`` — the dedicated Section 5.1 platform shrunk until the
   dataset does **not** fit in remote + local memory, so every new clone
-  needs an eviction.  No owners, no reclaims — this isolates the
-  eviction policies themselves.
+  needs an eviction.  No owners, no reclaims — this isolates eviction
+  itself.
 
 ``run_cache`` executes one cell of the ablation and returns plain
-JSON-safe counters; ``run_cache_ablation`` sweeps the policy axis on
-both workloads, adds the migration variant, and computes
-the headline claim — cost-aware migration reduces disk refetches
-relative to evict-only reclaim on the non-dedicated workload — which
-``benchmarks/BENCH_cache.json`` records and CI gates on.  Grid runs go
+JSON-safe counters; ``run_cache_ablation`` runs no eviction and
+cost-aware eviction on both workloads, adds the migration variant, and
+computes the headline claim — cost-aware migration reduces disk
+refetches relative to evict-only reclaim on the non-dedicated workload
+— which ``benchmarks/BENCH_cache.json`` records and CI gates on.  Grid runs go
 through the sweep engine instead: ``repro sweep cache-ablation``.
 """
 
@@ -31,9 +31,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.config import CacheConfig
-from repro.core.regionlib import RegionCache
-from repro.core.runtime import DodoRuntime
-from repro.exp.nondedicated import (NonDedicatedParams, build_cluster,
+from repro.exp.nondedicated import (DesktopPlatform, NonDedicatedParams,
                                     desktop_config)
 from repro.exp.platform import MB, PLATFORM_CONFIG, Platform, PlatformParams
 from repro.metrics.report import format_table
@@ -43,9 +41,6 @@ from repro.workloads.synthetic import SyntheticParams
 
 #: workloads ``run_cache`` understands
 CACHE_WORKLOADS = ("nondedicated", "fig7")
-
-#: ablation policy axis ("none" = the stock allocator, no eviction)
-ABLATION_POLICIES = ("none", "lru", "lfu", "clock", "cost-aware")
 
 #: region size used by both workloads — large enough that migrating a
 #: donor's hot set is a handful of bulk transfers, small enough that a
@@ -96,53 +91,19 @@ def _run_nondedicated_cell(cache_cfg: CacheConfig, seed: int,
     p = NonDedicatedParams(idle_window_s=10.0, owner_active_mean_s=20.0,
                            owner_away_mean_s=80.0, seed=seed)
     sim = Simulator(seed=seed)
-    cluster, cfg, cmd, rmds, owners = build_cluster(
-        sim, p, dodo=True, config=replace(desktop_config(p), cache=cache_cfg))
-
-    # Monitors fork a fresh imd every time a desktop re-idles; poll them
-    # so counters of dead incarnations (recorders outlive their daemon)
-    # still land in the totals.
-    imds: list = []
-    seen: set[int] = set()
-
-    def _scan() -> None:
-        for rmd in rmds:
-            daemon = rmd.imd
-            if daemon is not None and id(daemon) not in seen:
-                seen.add(id(daemon))
-                imds.append(daemon)
-
-    def _track():
-        while True:
-            _scan()
-            yield sim.timeout(1.0)
-
-    sim.process(_track())
+    platform = DesktopPlatform(
+        sim, p, config=replace(desktop_config(p), cache=cache_cfg))
     sim.run(until=p.idle_window_s + 5.0)  # initial recruitment
-
-    class _Plat:  # adapter matching what SyntheticRunner expects
-        def __init__(self):
-            self.sim = sim
-            self.app = cluster["app"]
-            self.params = type("P", (), {
-                "local_cache_bytes": p.local_cache})()
-            self.config = cfg
-
-        def region_cache(self, policy="lru", local_bytes=None,
-                         runtime=None):
-            rt = runtime or DodoRuntime(sim, self.app, cfg,
-                                        cmd_host="mgr")
-            return RegionCache(rt, local_bytes or p.local_cache,
-                               policy=policy)
 
     sp = SyntheticParams(pattern="hotcold", dataset_bytes=p.dataset_bytes,
                          req_size=p.req_size, num_iter=num_iter,
                          compute_s=0.002)
-    runner = SyntheticRunner(_Plat(), sp, use_dodo=True,
+    runner = SyntheticRunner(platform, sp, use_dodo=True,
                              region_bytes=REGION_BYTES)
     res = sim.run(until=runner.run())
-    _scan()
-    out = _collect(cache_cfg, "nondedicated", seed, res, runner, cmd, imds)
+    out = _collect(cache_cfg, "nondedicated", seed, res, runner,
+                   platform.cmd, platform.imds)
+    rmds = platform.rmds
     out["reclaims"] = int(sum(r.stats.count("reclaims") for r in rmds))
     out["recruits"] = int(sum(r.stats.count("recruits") for r in rmds))
     return out
@@ -204,10 +165,9 @@ def _collect(cache_cfg: CacheConfig, workload: str, seed: int, res,
 
 
 def run_cache_ablation(seed: int = 9, num_iter: int = 6,
-                       policies=ABLATION_POLICIES,
                        workloads=CACHE_WORKLOADS) -> dict:
-    """The full ablation: policies × workloads, plus the migration
-    variant on the non-dedicated workload.
+    """The full ablation: no eviction vs cost-aware eviction on each
+    workload, plus the migration variant on the non-dedicated workload.
 
     Returns ``{"rows": [...], "claim": {...}}`` where ``claim`` compares
     cost-aware reclaim with and without migration — the pair the
@@ -216,7 +176,7 @@ def run_cache_ablation(seed: int = 9, num_iter: int = 6,
     rows = []
     evict_only = None
     for workload in workloads:
-        for policy in policies:
+        for policy in ("none", "cost-aware"):
             row = run_cache(policy=policy, workload=workload, seed=seed,
                             num_iter=num_iter)
             rows.append(row)

@@ -46,7 +46,7 @@ class NonDedicatedParams:
     req_size: int = 8192
     num_iter: int = 4
     #: memory sizes follow the 1/128-scaled Section 5.1 proportions
-    local_cache: int = 640 * 1024
+    local_cache_bytes: int = 640 * 1024
     fs_cache: int = 128 * 1024
     disk_capacity: int = 25 * MB
     idle_window_s: float = 20.0
@@ -65,13 +65,16 @@ def desktop_config(p: NonDedicatedParams) -> DodoConfig:
 
 
 def build_cluster(sim: Simulator, p: NonDedicatedParams, dodo: bool,
-                  config: DodoConfig | None = None):
+                  config: DodoConfig | None = None,
+                  imds: list | None = None):
     """Build the desktop cluster under ``config``, by default
-    :func:`desktop_config` of ``p``."""
+    :func:`desktop_config` of ``p``; returns ``(cluster, config, cmd,
+    rmds, owners)``.  The monitors append every imd they fork to
+    ``imds``, when given."""
     hosts = [
         HostSpec("app", total_mem_bytes=128 * MB, has_disk=True,
                  fs_cache_bytes=p.fs_cache if dodo
-                 else p.fs_cache + p.local_cache,
+                 else p.fs_cache + p.local_cache_bytes,
                  disk_params=DiskParams(capacity_bytes=p.disk_capacity)),
         HostSpec("mgr"),
     ]
@@ -85,12 +88,66 @@ def build_cluster(sim: Simulator, p: NonDedicatedParams, dodo: bool,
         cmd = CentralManager(sim, cluster["mgr"], cfg)
         for i in range(p.n_desktops):
             ws = cluster[f"w{i}"]
-            rmds.append(ResourceMonitor(sim, ws, cfg, cmd_host="mgr"))
+            rmds.append(ResourceMonitor(sim, ws, cfg, cmd_host="mgr",
+                                        imds=imds))
             owners.append(Owner(sim, ws, OwnerParams(
                 active_mean_s=p.owner_active_mean_s,
                 away_mean_s=p.owner_away_mean_s,
                 background_job_prob=0.1), start_active=(i % 4 == 0)))
     return cluster, cfg, cmd, rmds, owners
+
+
+class DesktopPlatform:
+    """A desktop cluster with the surface of
+    :class:`~repro.exp.platform.Platform` that the workload runners,
+    the nemesis and the auditor use.
+
+    ``imds`` holds every imd incarnation: the resource monitors append
+    each one they fork, the nemesis each one it restarts.  So the
+    counters of dead incarnations (recorders outlive their daemon) stay
+    in the totals, and the auditor can tell a killed incarnation from
+    real divergence.
+    """
+
+    def __init__(self, sim: Simulator, p: NonDedicatedParams,
+                 dodo: bool = True, config: DodoConfig | None = None):
+        self.sim = sim
+        self.params = p
+        self.dodo_enabled = dodo
+        self.imds: list = []
+        self.cluster, self.config, self.cmd, self.rmds, self.owners = \
+            build_cluster(sim, p, dodo, config, imds=self.imds)
+        self.app = self.cluster["app"]
+        self.mgr = self.cluster["mgr"]
+
+    def runtime(self) -> DodoRuntime:
+        """A fresh libdodo instance on the app node."""
+        if not self.dodo_enabled:
+            raise RuntimeError("desktop cluster built without Dodo")
+        return DodoRuntime(self.sim, self.app, self.config, cmd_host="mgr")
+
+    def region_cache(self, policy: str = "lru",
+                     local_bytes: int | None = None,
+                     runtime: DodoRuntime | None = None) -> RegionCache:
+        """A fresh libmanage instance over a (new) runtime."""
+        return RegionCache(runtime or self.runtime(),
+                           local_bytes or self.params.local_cache_bytes,
+                           policy=policy)
+
+    def audit(self, auditor=None, teardown: bool = True):
+        """Run the invariant auditor over the cluster, the manager and
+        every imd incarnation; returns the findings of this pass."""
+        from repro.obs.audit import Auditor
+        auditor = auditor or Auditor(mode="warn")
+        hosts = self.cluster.workstations.values()
+        components = [("workstation", ws.name, ws) for ws in hosts]
+        components += [("nic", ws.name, ws.nic) for ws in hosts]
+        components.append(("network", "network", self.cluster.network))
+        if self.cmd is not None:
+            components.append(("manager", "cmd", self.cmd))
+        components += [("imd", imd.ws.name, imd) for imd in self.imds]
+        return auditor.audit_components(self.sim, components,
+                                        teardown=teardown)
 
 
 def run_nondedicated(p: NonDedicatedParams | None = None) -> dict:
@@ -100,27 +157,10 @@ def run_nondedicated(p: NonDedicatedParams | None = None) -> dict:
     results = {}
     for dodo in (False, True):
         sim = Simulator(seed=p.seed)
-        cluster, cfg, cmd, rmds, owners = build_cluster(sim, p, dodo)
+        platform = DesktopPlatform(sim, p, dodo)
         sp = SyntheticParams(pattern="hotcold",
                              dataset_bytes=p.dataset_bytes,
                              req_size=p.req_size, num_iter=p.num_iter)
-
-        class _Plat:  # adapter matching what SyntheticRunner expects
-            def __init__(self):
-                self.sim = sim
-                self.app = cluster["app"]
-                self.params = type("P", (), {
-                    "local_cache_bytes": p.local_cache})()
-                self.config = cfg
-
-            def region_cache(self, policy="lru", local_bytes=None,
-                             runtime=None):
-                rt = runtime or DodoRuntime(sim, self.app, cfg,
-                                            cmd_host="mgr")
-                return RegionCache(rt, local_bytes or p.local_cache,
-                                   policy=policy)
-
-        platform = _Plat()
         # give the monitors time to recruit the initially idle desktops
         if dodo:
             sim.run(until=p.idle_window_s + 5.0)
@@ -128,6 +168,7 @@ def run_nondedicated(p: NonDedicatedParams | None = None) -> dict:
         res = sim.run(until=runner.run())
         entry = {"elapsed_s": res.elapsed_s, "result": res}
         if dodo:
+            rmds = platform.rmds
             delays = [d for r in rmds
                       for d in r.stats.samples("reclaim_delay_s")]
             entry["reclaims"] = sum(

@@ -227,7 +227,7 @@ def _run_failover(seed, plan, audit, horizon_s, eventlog_level,
 
 def _run_nondedicated(seed, plan, audit, horizon_s,
                       eventlog_level, cache=None) -> dict:
-    from repro.exp.nondedicated import (NonDedicatedParams, build_cluster,
+    from repro.exp.nondedicated import (DesktopPlatform, NonDedicatedParams,
                                         desktop_config)
     from repro.obs.audit import make_auditor
     from repro.obs.eventlog import EventLog, install_eventlog
@@ -247,81 +247,23 @@ def _run_nondedicated(seed, plan, audit, horizon_s,
     previous = install_eventlog(log)
     try:
         sim = Simulator(seed=seed)
-        cluster, cfg, cmd, rmds, owners = build_cluster(
-            sim, p, dodo=True, config=chaos_config(desktop_config(p), cache))
-        targets = _NonDedicatedTargets(sim, cluster, cfg, cmd, rmds)
-        nemesis = Nemesis(targets, plan, auditor=auditor)
+        platform = DesktopPlatform(
+            sim, p, config=chaos_config(desktop_config(p), cache))
+        nemesis = Nemesis(platform, plan, auditor=auditor)
         nemesis.start()
         sim.run(until=warmup)  # let monitors recruit the idle desktops
-
-        from repro.core.regionlib import RegionCache
-        from repro.core.runtime import DodoRuntime
-
-        class _Plat:  # adapter matching what SyntheticRunner expects
-            def __init__(self):
-                self.sim = sim
-                self.app = cluster["app"]
-                self.params = type("P", (), {
-                    "local_cache_bytes": p.local_cache})()
-                self.config = cfg
-
-            def region_cache(self, policy="lru", local_bytes=None,
-                             runtime=None):
-                rt = runtime or DodoRuntime(sim, self.app, cfg,
-                                            cmd_host="mgr")
-                return RegionCache(rt, local_bytes or p.local_cache,
-                                   policy=policy)
-
-        runner = ChaosRunner(_Plat(), SyntheticParams(
+        runner = ChaosRunner(platform, SyntheticParams(
             pattern="hotcold", dataset_bytes=p.dataset_bytes,
             req_size=p.req_size, num_iter=3, compute_s=0.02))
         result = sim.run(until=runner.run())
-        _settle(sim, cfg, plan)
-        targets.audit(auditor, teardown=True)
+        _settle(sim, platform.config, plan)
+        platform.audit(auditor, teardown=True)
         return {"plan": plan, "eventlog": log, "auditor": auditor,
                 "result": result, "degraded": runner.degraded,
-                "platform": targets,
+                "platform": platform,
                 "injected": nemesis.injected, "healed": nemesis.healed}
     finally:
         install_eventlog(previous)
-
-
-class _NonDedicatedTargets:
-    """Platform-shaped adapter over the Section 5.3.1 cluster for the
-    nemesis and the auditor.  ``imds`` accumulates every daemon the
-    monitors ever fork (including ones later killed by a host crash) so
-    the auditor can tell a killed incarnation from real divergence."""
-
-    def __init__(self, sim, cluster, config, cmd, rmds):
-        self.sim = sim
-        self.cluster = cluster
-        self.config = config
-        self.cmd = cmd
-        self.rmds = rmds
-        self.mgr = cluster["mgr"]
-        self.imds: list = []
-
-    def _scan_imds(self) -> None:
-        seen = {id(i) for i in self.imds}
-        for rmd in self.rmds:
-            imd = rmd.imd
-            if imd is not None and id(imd) not in seen:
-                self.imds.append(imd)
-
-    def audit(self, auditor=None, teardown: bool = True):
-        from repro.obs.audit import Auditor
-        auditor = auditor or Auditor(mode="warn")
-        self._scan_imds()
-        components = [("workstation", ws.name, ws)
-                      for ws in self.cluster.workstations.values()]
-        components += [("nic", ws.name, ws.nic)
-                       for ws in self.cluster.workstations.values()]
-        components.append(("network", "network", self.cluster.network))
-        if self.cmd is not None:
-            components.append(("manager", "cmd", self.cmd))
-        components += [("imd", imd.ws.name, imd) for imd in self.imds]
-        return auditor.audit_components(self.sim, components,
-                                        teardown=teardown)
 
 
 def _settle(sim, config, plan: FaultPlan) -> None:

@@ -16,8 +16,8 @@ state diverges, not at teardown.
 The nemesis drives anything platform-shaped: it needs ``sim``,
 ``cluster`` (name-indexable, with ``.network``), ``config``, and for
 manager/imd faults ``cmd`` (reassignable), ``imds`` (appendable), and
-``mgr``.  Both :class:`repro.exp.platform.Platform` and the
-non-dedicated chaos adapter satisfy this.
+``mgr``.  Both :class:`repro.exp.platform.Platform` and
+:class:`repro.exp.nondedicated.DesktopPlatform` satisfy this.
 """
 
 from __future__ import annotations

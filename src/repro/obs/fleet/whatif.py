@@ -5,10 +5,10 @@ platforms the chaos harness uses) with full observability and writes a
 run directory (:mod:`repro.obs.fleet.store`) whose ``meta.json`` embeds
 the scenario, seed, policy and canonical workload metrics.  ``repro
 whatif`` loads that directory, replays the *same scenario and seed*
-under a changed :class:`WhatIfPolicy` — region replacement, manager
-placement, recruitment thresholds — and reports a structured
-side-by-side delta: fetch latency percentiles, refetches, reclaim
-evictions, degraded requests.
+under a changed :class:`WhatIfPolicy` — region replacement or
+recruitment thresholds — and reports a structured side-by-side delta:
+fetch latency percentiles, refetches, reclaim evictions, degraded
+requests.
 
 Replay with an *unchanged* policy reproduces the recorded metrics
 byte-identically (same seed drives the simulator, the fault plan and
@@ -43,29 +43,24 @@ class WhatIfPolicy:
     """The replayable policy surface of one run.
 
     ``replacement`` is the region-cache policy
-    (:data:`repro.core.policy.POLICIES`); ``placement`` the manager's
-    candidate choice (:data:`repro.core.manager.PLACEMENTS`);
-    ``idle_window_s`` and ``load_threshold`` feed the recruitment
-    predicate (non-dedicated scenario only; None keeps the scenario
-    default).
+    (:data:`repro.core.policy.POLICIES`); ``idle_window_s`` and
+    ``load_threshold`` feed the recruitment predicate (non-dedicated
+    scenario only; None keeps the scenario default).
     """
 
     replacement: str = "lru"
-    placement: str = "random"
     idle_window_s: Optional[float] = None
     load_threshold: Optional[float] = None
 
     def to_meta(self) -> dict:
         """JSON form stored in a run directory's ``meta.json``."""
         return {"replacement": self.replacement,
-                "placement": self.placement,
                 "idle_window_s": self.idle_window_s,
                 "load_threshold": self.load_threshold}
 
     @classmethod
     def from_meta(cls, meta: dict) -> "WhatIfPolicy":
         return cls(replacement=meta.get("replacement", "lru"),
-                   placement=meta.get("placement", "random"),
                    idle_window_s=meta.get("idle_window_s"),
                    load_threshold=meta.get("load_threshold"))
 
@@ -291,7 +286,7 @@ def run_scenario(scenario: str, seed: int = 0,
 def _run_fig7(seed, policy: WhatIfPolicy, chaos, horizon_s,
               auditor) -> dict:
     from repro.exp.platform import PLATFORM_CONFIG, Platform
-    from repro.faults.chaos import chaos_config, chaos_platform
+    from repro.faults.chaos import _settle, chaos_config, chaos_platform
     from repro.faults.generate import random_plan
     from repro.sim import Simulator
     from repro.workloads.synthetic import SyntheticParams
@@ -306,7 +301,7 @@ def _run_fig7(seed, policy: WhatIfPolicy, chaos, horizon_s,
     sim = Simulator(seed=seed)
     # the hardening knobs are on with or without faults, so no-chaos and
     # chaos recordings share baselines
-    config = chaos_config(PLATFORM_CONFIG, placement=policy.placement)
+    config = chaos_config(PLATFORM_CONFIG)
     platform = Platform(sim, params, dodo=True, config=config,
                         faults=plan, nemesis_auditor=auditor)
     runner = MeasuringRunner(platform, SyntheticParams(
@@ -325,11 +320,9 @@ def _run_fig7(seed, policy: WhatIfPolicy, chaos, horizon_s,
 def _run_nondedicated(seed, policy: WhatIfPolicy, chaos, horizon_s,
                       auditor) -> dict:
     from repro.cluster.idleness import IdlePolicy
-    from repro.core.regionlib import RegionCache
-    from repro.core.runtime import DodoRuntime
-    from repro.exp.nondedicated import (NonDedicatedParams, build_cluster,
+    from repro.exp.nondedicated import (DesktopPlatform, NonDedicatedParams,
                                         desktop_config)
-    from repro.faults.chaos import chaos_config
+    from repro.faults.chaos import _settle, chaos_config
     from repro.faults.generate import random_plan
     from repro.faults.nemesis import Nemesis
     from repro.sim import Simulator
@@ -350,53 +343,23 @@ def _run_nondedicated(seed, policy: WhatIfPolicy, chaos, horizon_s,
                            start_s=warmup, protected=("app", "mgr"),
                            experiment="nondedicated")
     sim = Simulator(seed=seed)
-    config = chaos_config(desktop_config(p), idle_policy=idle,
-                          placement=policy.placement)
-    cluster, cfg, cmd, rmds, owners = build_cluster(
-        sim, p, dodo=True, config=config)
-    nemesis = None
+    platform = DesktopPlatform(
+        sim, p, config=chaos_config(desktop_config(p), idle_policy=idle))
     if plan is not None:
-        from repro.faults.chaos import _NonDedicatedTargets
-        targets = _NonDedicatedTargets(sim, cluster, cfg, cmd, rmds)
-        nemesis = Nemesis(targets, plan, auditor=auditor)
-        nemesis.start()
+        Nemesis(platform, plan, auditor=auditor).start()
     sim.run(until=warmup)  # let monitors recruit the idle desktops
-
-    class _Plat:
-        """Adapter matching what the synthetic runner expects."""
-
-        def __init__(self):
-            self.sim = sim
-            self.app = cluster["app"]
-            self.params = type("P", (), {
-                "local_cache_bytes": p.local_cache})()
-            self.config = cfg
-
-        def region_cache(self, policy="lru", local_bytes=None,
-                         runtime=None):
-            rt = runtime or DodoRuntime(sim, self.app, cfg,
-                                        cmd_host="mgr")
-            return RegionCache(rt, local_bytes or p.local_cache,
-                               policy=policy)
-
-    runner = MeasuringRunner(_Plat(), SyntheticParams(
+    runner = MeasuringRunner(platform, SyntheticParams(
         pattern="hotcold", dataset_bytes=p.dataset_bytes,
         req_size=p.req_size, num_iter=3, compute_s=0.02),
         policy=policy.replacement)
     result = sim.run(until=runner.run())
     if plan is not None:
-        _settle(sim, cfg, plan)
+        _settle(sim, platform.config, plan)
     evictions = runner._inner.cache.stats.count("evictions")
     if auditor is not None and auditor.enabled and plan is not None:
-        targets.audit(auditor, teardown=True)
+        platform.audit(auditor, teardown=True)
     return {"runner": runner, "result": result, "evictions": evictions,
             "sim": sim}
-
-
-def _settle(sim, config, plan) -> None:
-    from repro.faults.chaos import _plan_end
-    grace = 2.0 * max(config.imd_reregister_s, 1.0) + 1.0
-    sim.run(until=max(sim.now, _plan_end(plan)) + grace)
 
 
 _SCENARIOS = {"fig7": _run_fig7, "nondedicated": _run_nondedicated}
@@ -420,7 +383,6 @@ def record_run(out_dir: str, scenario: str, seed: int = 0,
 
 
 def run_whatif(baseline: "RunDir | str", replacement: Optional[str] = None,
-               placement: Optional[str] = None,
                idle_window_s: Optional[float] = None,
                load_threshold: Optional[float] = None) -> dict:
     """Replay a recorded run under a (possibly) changed policy.
@@ -435,8 +397,8 @@ def run_whatif(baseline: "RunDir | str", replacement: Optional[str] = None,
     meta = baseline.meta
     base_policy = WhatIfPolicy.from_meta(meta.get("policy", {}))
     replay_policy = base_policy.override(
-        replacement=replacement, placement=placement,
-        idle_window_s=idle_window_s, load_threshold=load_threshold)
+        replacement=replacement, idle_window_s=idle_window_s,
+        load_threshold=load_threshold)
     replay = run_scenario(
         meta["scenario"], seed=int(meta["seed"]),
         policy=replay_policy, chaos=bool(meta.get("chaos", False)),

@@ -209,7 +209,7 @@ def _cache(policy: str = "none", migration: bool = False,
 
     ``run_cache`` already returns flat JSON-safe counters, so the
     adapter is a pass-through; the ``cache-ablation`` builtin spec
-    grids this over policies × workloads.
+    grids this over no eviction / cost-aware × workloads.
     """
     from repro.exp.cache import run_cache
     return run_cache(policy=policy, migration=bool(migration),

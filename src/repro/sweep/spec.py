@@ -253,14 +253,12 @@ BUILTIN_SPECS: dict[str, dict] = {
         "experiment": "cache",
         "overrides": {"num_iter": 6},
         "grid": {
-            "policy": ["none", "lru", "lfu", "clock", "cost-aware"],
+            "policy": ["none", "cost-aware"],
             "workload": ["nondedicated", "fig7"],
             "seed": [9],
         },
         "points": [
             {"overrides": {"policy": "cost-aware", "migration": True,
-                           "workload": "nondedicated"}, "seed": 9},
-            {"overrides": {"policy": "lru", "migration": True,
                            "workload": "nondedicated"}, "seed": 9},
         ],
     },

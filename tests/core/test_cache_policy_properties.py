@@ -11,9 +11,7 @@ the invariants the imd and the region cache rely on:
 * victim order is a pure function of the history: two fresh instances
   fed the same stream pick the same victims, and equal-rank ties break
   toward the smallest key;
-* LRU evicts exactly what an ``OrderedDict`` recency model predicts;
-* CLOCK honours second chance — while any eligible region's reference
-  bit is clear, a referenced region is never the victim.
+* LRU evicts exactly what an ``OrderedDict`` recency model predicts.
 
 test_policy_properties.py models the paper's client-side policies
 (LRU/MRU/first-in) without pins.
@@ -147,36 +145,6 @@ def test_lru_matches_recency_model(ops):
             pinned = {k for k in model if k % 3 == key % 3}
             check(policy.victim(pinned), pinned)
     assert sorted(policy.keys()) == sorted(model)
-
-
-@given(ops=policy_ops())
-@settings(max_examples=60, deadline=None)
-def test_clock_second_chance(ops):
-    """CLOCK: while some eligible bit is clear, a referenced region is
-    never evicted — an access really does buy one more lap."""
-    policy = make_policy("clock")
-
-    def check(victim, pinned):
-        if victim is not None and any(not bits[k] for k in eligible):
-            assert not bits[victim], \
-                f"evicted referenced {victim} over unreferenced regions"
-
-    for kind, key, size in ops:
-        if kind == "evict":
-            bits = dict(policy._ref)  # pre-sweep snapshot
-            pinned = {k for k in bits if k % 3 == key % 3}
-            eligible = set(bits) - pinned
-            victim = policy.victim(pinned)
-            check(victim, pinned)
-            if victim is not None:
-                policy.on_remove(victim)
-        elif kind == "insert":
-            if key not in policy:
-                policy.on_insert(key, size)
-        elif kind == "access":
-            policy.on_access(key)
-        else:
-            policy.on_remove(key)
 
 
 def test_cost_aware_keeps_pinned_under_pressure():

@@ -22,7 +22,7 @@ def sim():
     return Simulator(seed=202)
 
 
-def make_imd(sim, pool_mb=1, policy="lru"):
+def make_imd(sim, pool_mb=1, policy="cost-aware"):
     net = Network(sim)
     ws = Workstation(sim, "host", net, total_mem_bytes=128 * MB)
     cfg = DodoConfig(store_payload=True,

@@ -7,11 +7,11 @@ the bound shows all of them fit.  Hypothesis drives random directory
 histories — registrations, re-registrations, hints going up and down,
 busy notifications, hosts declared dead by a timed-out call, snapshot
 installs and replicated log records on a backup — through two managers:
-one as shipped, one whose candidate lists come from the plain scan.  For
-every placement policy, with donor caching on and off, both must call
-the same hosts in the same order, return the same replies and leave
-their placement rng and round-robin cursor in the same state, on the
-alloc path and on the migration-destination path.
+one as shipped, one whose candidate lists come from the plain scan.
+With donor caching on and off, both must call the same hosts in the
+same order, return the same replies and leave their placement rng in
+the same state, on the alloc path and on the migration-destination
+path.
 """
 
 from unittest import mock
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.workstation import Workstation
 from repro.core import CentralManager, DodoConfig
-from repro.core.config import PLACEMENTS, CacheConfig
+from repro.core.config import CacheConfig
 from repro.core.descriptors import RegionKey, RegionStruct
 from repro.core.manager import IwdEntry, IwdTable, RdEntry
 from repro.core.shard import ShardInfo, ShardMap
@@ -72,11 +72,11 @@ class Script:
         yield  # a generator, like RpcClient.call
 
 
-def build(cls, placement, cache):
+def build(cls, cache):
     sim = Simulator(seed=5)
     ws = Workstation(sim, "mgr", Network(sim))
-    config = DodoConfig(store_payload=False, placement=placement,
-                        cache=CacheConfig(policy="lru" if cache else "none"))
+    config = DodoConfig(store_payload=False, cache=CacheConfig(
+        policy="cost-aware" if cache else "none"))
     shard_map = ShardMap([ShardInfo(shard_id=0, primary="p", backup="mgr")])
     return cls(sim, ws, config, shard_id=0, shard_map=shard_map,
                role="backup")
@@ -138,15 +138,14 @@ def apply(mgr, script, op, step):
 
 
 @settings(max_examples=200, deadline=None)
-@given(placement=st.sampled_from(sorted(PLACEMENTS)), cache=st.booleans(),
+@given(cache=st.booleans(),
        history=st.lists(ops, min_size=10, max_size=60),
        outcomes=st.fixed_dictionaries(
            {h: st.lists(outcome, max_size=6) for h in HOSTS}))
-def test_indexed_placement_matches_the_scan(placement, cache, history,
-                                            outcomes):
+def test_indexed_placement_matches_the_scan(cache, history, outcomes):
     runs = []
     for cls in (CentralManager, ScanManager):
-        mgr = build(cls, placement, cache)
+        mgr = build(cls, cache)
         script = Script(outcomes)
         replies = []
         with mock.patch("repro.core.manager.RpcClient", script.client):
@@ -155,7 +154,7 @@ def test_indexed_placement_matches_the_scan(placement, cache, history,
                 assert isinstance(mgr.iwd, IwdTable)
         runs.append((script.log, replies, list(mgr.iwd),
                      [e.largest_free for e in mgr.iwd.values()],
-                     mgr._rng.bit_generator.state, mgr._rr))
+                     mgr._rng.bit_generator.state))
     assert runs[0] == runs[1]
 
 

@@ -76,3 +76,29 @@ def test_app_node_has_disk_and_fs():
     assert platform.app.disk is not None
     assert platform.app.fs is not None
     assert platform.mgr.disk is None  # the manager node needs none
+
+
+def test_desktop_platform_keeps_every_imd_incarnation(monkeypatch):
+    """The monitors hand every imd they fork to ``platform.imds``: with
+    owners churning, the list matches a census of every
+    ``IdleMemoryDaemon`` built, re-forks of the same desktop included."""
+    from repro.core.imd import IdleMemoryDaemon
+    from repro.exp.nondedicated import DesktopPlatform, NonDedicatedParams
+
+    census = []
+    init = IdleMemoryDaemon.__init__
+
+    def counting_init(imd, *args, **kwargs):
+        init(imd, *args, **kwargs)
+        census.append(imd)
+    monkeypatch.setattr(IdleMemoryDaemon, "__init__", counting_init)
+
+    p = NonDedicatedParams(idle_window_s=5.0, owner_active_mean_s=10.0,
+                           owner_away_mean_s=30.0)
+    sim = Simulator(seed=p.seed)
+    platform = DesktopPlatform(sim, p)
+    sim.run(until=200.0)
+    assert platform.imds == census
+    hosts = [imd.ws.name for imd in census]
+    assert len(hosts) > len(set(hosts))  # some desktop re-idled
+    assert platform.audit() == []

@@ -1,4 +1,4 @@
-"""What-if replay: identity reproduction, policy deltas, placement knob."""
+"""What-if replay: identity reproduction, policy deltas, policy meta."""
 
 import pytest
 
@@ -36,16 +36,6 @@ def test_changed_replacement_policy_reports_nonzero_delta(tmp_path):
     # hotcold under MRU thrashes the hot set: refetches must move
     assert doc["delta"]["refetches"] != 0
     assert "lru" in format_whatif(doc) and "mru" in format_whatif(doc)
-
-
-def test_placement_policies_run_and_validate():
-    for placement in ("most-free", "round-robin"):
-        m = run_scenario("fig7", seed=3,
-                         policy=WhatIfPolicy(placement=placement))["metrics"]
-        assert m["requests"] > 0 and m["degraded"] == 0
-    with pytest.raises(ValueError, match="placement"):
-        run_scenario("fig7", seed=3,
-                     policy=WhatIfPolicy(placement="bogus"))
 
 
 def test_measuring_runner_does_not_perturb_the_workload():
@@ -92,13 +82,11 @@ def test_chaos_scenario_with_insights_passes_audit_raise():
 
 
 def test_policy_meta_round_trip_and_override():
-    p = WhatIfPolicy(replacement="mru", placement="round-robin",
-                     idle_window_s=2.5)
+    p = WhatIfPolicy(replacement="mru", idle_window_s=2.5)
     assert WhatIfPolicy.from_meta(p.to_meta()) == p
-    q = p.override(replacement="lru", placement=None)
+    q = p.override(replacement="lru", idle_window_s=None)
     assert q.replacement == "lru"
-    assert q.placement == "round-robin"  # None means "keep"
-    assert q.idle_window_s == 2.5
+    assert q.idle_window_s == 2.5  # None means "keep"
 
 
 def test_recorded_run_dir_carries_insights_events(tmp_path):
