@@ -26,6 +26,7 @@ from repro.core.manager import CentralManager
 from repro.core.regionlib import RegionCache
 from repro.core.rmd import ResourceMonitor
 from repro.core.runtime import DodoRuntime
+from repro.exp.platform import audit_platform
 from repro.metrics.report import format_table
 from repro.sim import Simulator
 from repro.storage.disk import DiskParams
@@ -109,6 +110,9 @@ class DesktopPlatform:
     real divergence.
     """
 
+    #: one unsharded manager, as far as the nemesis and auditor care
+    shard_managers = None
+
     def __init__(self, sim: Simulator, p: NonDedicatedParams,
                  dodo: bool = True, config: DodoConfig | None = None):
         self.sim = sim
@@ -134,20 +138,7 @@ class DesktopPlatform:
                            local_bytes or self.params.local_cache_bytes,
                            policy=policy)
 
-    def audit(self, auditor=None, teardown: bool = True):
-        """Run the invariant auditor over the cluster, the manager and
-        every imd incarnation; returns the findings of this pass."""
-        from repro.obs.audit import Auditor
-        auditor = auditor or Auditor(mode="warn")
-        hosts = self.cluster.workstations.values()
-        components = [("workstation", ws.name, ws) for ws in hosts]
-        components += [("nic", ws.name, ws.nic) for ws in hosts]
-        components.append(("network", "network", self.cluster.network))
-        if self.cmd is not None:
-            components.append(("manager", "cmd", self.cmd))
-        components += [("imd", imd.ws.name, imd) for imd in self.imds]
-        return auditor.audit_components(self.sim, components,
-                                        teardown=teardown)
+    audit = audit_platform
 
 
 def run_nondedicated(p: NonDedicatedParams | None = None) -> dict:

@@ -76,6 +76,40 @@ class PlatformParams:
 PLATFORM_CONFIG = DodoConfig(store_payload=False)
 
 
+def audit_platform(platform, auditor=None, teardown: bool = True):
+    """Run the invariant auditor over a platform's components: every
+    workstation and its NIC, the network, the manager(s) and every imd
+    incarnation.
+
+    With ``platform.shard_managers`` set, each live shard manager is
+    checked in the role it holds at audit time (a promoted backup
+    counts as a primary); otherwise the one ``platform.cmd`` is.  Works
+    with or without an installed telemetry engine — the component list
+    is built from the platform's own objects — so tests can cross-check
+    a cluster without any global state.  Returns the findings of this
+    pass.
+    """
+    from repro.obs.audit import Auditor
+    auditor = auditor or Auditor(mode="warn")
+    hosts = platform.cluster.workstations.values()
+    components = [("workstation", ws.name, ws) for ws in hosts]
+    components += [("nic", ws.name, ws.nic) for ws in hosts]
+    components.append(("network", "network", platform.cluster.network))
+    if platform.shard_managers is not None:
+        for sid in sorted(platform.shard_managers):
+            for mgr in platform.shard_managers[sid]:
+                if mgr.stopped:
+                    continue
+                kind = ("manager" if mgr.role == "primary"
+                        else "manager_backup")
+                components.append((kind, f"cmd{sid}", mgr))
+    elif platform.cmd is not None:
+        components.append(("manager", "cmd", platform.cmd))
+    components += [("imd", imd.ws.name, imd) for imd in platform.imds]
+    return auditor.audit_components(platform.sim, components,
+                                    teardown=teardown)
+
+
 class Platform:
     """A built evaluation platform: cluster + Dodo daemons + app node.
 
@@ -179,36 +213,7 @@ class Platform:
     def remote_pool_total(self) -> int:
         return self.params.imd_pool_bytes * self.params.n_memory_hosts
 
-    def audit(self, auditor=None, teardown: bool = True):
-        """Run the invariant auditor over this platform's components.
-
-        Works with or without an installed telemetry engine — the
-        component list is built from the platform's own objects — so
-        tests can cross-check a cluster without any global state.
-        Returns the findings of this pass.
-        """
-        from repro.obs.audit import Auditor
-        auditor = auditor or Auditor(mode="warn")
-        components = [("workstation", ws.name, ws)
-                      for ws in self.cluster.workstations.values()]
-        components += [("nic", ws.name, ws.nic)
-                       for ws in self.cluster.workstations.values()]
-        components.append(("network", "network", self.cluster.network))
-        if self.shard_managers is not None:
-            # role is decided at audit time: a promoted backup counts as
-            # a primary, a stopped manager is skipped entirely
-            for sid in sorted(self.shard_managers):
-                for mgr in self.shard_managers[sid]:
-                    if mgr.stopped:
-                        continue
-                    kind = ("manager" if mgr.role == "primary"
-                            else "manager_backup")
-                    components.append((kind, f"cmd{sid}", mgr))
-        elif self.cmd is not None:
-            components.append(("manager", "cmd", self.cmd))
-        components += [("imd", imd.ws.name, imd) for imd in self.imds]
-        return auditor.audit_components(self.sim, components,
-                                        teardown=teardown)
+    audit = audit_platform
 
     def live_primary(self, shard: int) -> Optional[CentralManager]:
         """The shard's currently-serving primary, newest first (None

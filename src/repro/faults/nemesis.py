@@ -15,8 +15,9 @@ state diverges, not at teardown.
 
 The nemesis drives anything platform-shaped: it needs ``sim``,
 ``cluster`` (name-indexable, with ``.network``), ``config``, and for
-manager/imd faults ``cmd`` (reassignable), ``imds`` (appendable), and
-``mgr``.  Both :class:`repro.exp.platform.Platform` and
+manager/imd faults ``cmd`` (reassignable), ``imds`` (appendable),
+``mgr`` and ``shard_managers`` (None on an unsharded platform).  Both
+:class:`repro.exp.platform.Platform` and
 :class:`repro.exp.nondedicated.DesktopPlatform` satisfy this.
 """
 
@@ -229,7 +230,7 @@ class Nemesis:
         from repro.core.config import CMD_PORT
         from repro.net.rpc import RpcClient, RpcTimeout
         cfg = self.targets.config
-        shard_managers = getattr(self.targets, "shard_managers", None)
+        shard_managers = self.targets.shard_managers
         if shard_managers is None:
             cmd_hosts = [self.targets.mgr.name]
         else:
@@ -265,7 +266,7 @@ class Nemesis:
         return heal
 
     def _do_manager_crash(self, ev):
-        if getattr(self.targets, "shard_managers", None) is not None:
+        if self.targets.shard_managers is not None:
             return (yield from self._do_shard_primary_crash(ev))
         cmd = self.targets.cmd
         if cmd is None:

@@ -25,9 +25,8 @@ usual entry points:
 """
 
 from repro.obs.audit import AuditError, Auditor, Finding, make_auditor
-from repro.obs.breakdown import (COMPONENT_LAYER, LAYER_ORDER,
-                                 fetch_breakdown, format_fetch_breakdown,
-                                 layer_of)
+from repro.obs.breakdown import (LAYER_ORDER, fetch_breakdown,
+                                 format_fetch_breakdown, layer_of)
 from repro.obs.dashboard import pick_run, render_dashboard, render_run
 from repro.obs.eventlog import NULL_EVENTLOG, EventLog, LogEvent, \
     default_eventlog, install_eventlog
@@ -48,7 +47,6 @@ __all__ = [
     "ActivityRow",
     "AuditError",
     "Auditor",
-    "COMPONENT_LAYER",
     "EventLog",
     "Finding",
     "GaugeSeries",

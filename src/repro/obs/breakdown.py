@@ -28,30 +28,51 @@ from typing import Callable, Iterable, Optional
 from repro.metrics.report import format_table
 from repro.obs.tracer import Span
 
-#: component -> paper layer.  Unknown components map to themselves so
-#: new instrumentation shows up in the table instead of disappearing.
-COMPONENT_LAYER = {
-    "lib": "library",
-    "regionlib": "library",
-    "kernel": "library",
-    "rpc": "network",
-    "net": "network",
+#: tracer component -> request stage (anything unknown is client code);
+#: the per-request SLI blame table (:mod:`repro.obs.slo.sli`) uses the
+#: stages as they are, the per-layer breakdown here folds them into
+#: the paper's layers
+STAGE_OF = {
+    "lib": "client",
+    "regionlib": "client",
+    "kernel": "client",
+    "rpc": "rpc",
+    "net": "net",
+    "imd": "imd",
+    "rmd": "imd",
     "manager": "manager",
     "cmd": "manager",
-    "imd": "daemon",
-    "rmd": "daemon",
     "disk": "disk",
     "fs": "disk",
     "pagecache": "disk",
+}
+
+#: request stage -> paper layer
+_STAGE_LAYER = {
+    "client": "library",
+    "rpc": "network",
+    "net": "network",
+    "imd": "daemon",
+    "manager": "manager",
+    "disk": "disk",
 }
 
 #: presentation order of the known layers
 LAYER_ORDER = ["library", "manager", "network", "daemon", "disk"]
 
 
+def stage_of(component: str) -> str:
+    """Map a tracer component name to its request stage."""
+    return STAGE_OF.get(component, "client")
+
+
 def layer_of(component: str) -> str:
-    """Map a tracer component name to its latency-breakdown layer."""
-    return COMPONENT_LAYER.get(component, component)
+    """Map a tracer component name to its latency-breakdown layer, the
+    layer of its stage.  Unknown components map to themselves so new
+    instrumentation shows up in the table instead of disappearing."""
+    if component in STAGE_OF:
+        return _STAGE_LAYER[STAGE_OF[component]]
+    return component
 
 
 def sweep_window(root: Span, inner: list[Span],

@@ -1,7 +1,8 @@
 """What-if policy replay: rerun a recorded scenario under changed policy.
 
-``repro record`` runs one of the named scenarios (the same scaled-down
-platforms the chaos harness uses) with full observability and writes a
+``repro record`` runs one of the named scenarios (rows of the chaos
+harness's table, built by :func:`repro.faults.chaos.build_scenario`,
+faults on only with ``chaos``) with full observability and writes a
 run directory (:mod:`repro.obs.fleet.store`) whose ``meta.json`` embeds
 the scenario, seed, policy and canonical workload metrics.  ``repro
 whatif`` loads that directory, replays the *same scenario and seed*
@@ -22,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.faults.chaos import build_scenario
 from repro.obs.fleet.insights import build_insights, emit_insights
 from repro.obs.fleet.store import RunDir, load_run_dir, write_run_dir
 from repro.sweep.spec import jsonify
-
-MB = 1024 * 1024
 
 #: scenarios ``repro record`` / ``repro whatif`` understand
 SCENARIOS = ("fig7", "nondedicated")
@@ -44,8 +44,9 @@ class WhatIfPolicy:
 
     ``replacement`` is the region-cache policy
     (:data:`repro.core.policy.POLICIES`); ``idle_window_s`` and
-    ``load_threshold`` feed the recruitment predicate (non-dedicated
-    scenario only; None keeps the scenario default).
+    ``load_threshold`` feed the recruitment predicate (None keeps the
+    scenario default).  Only the non-dedicated scenario has that
+    predicate: a run of ``fig7`` that sets either raises ValueError.
     """
 
     replacement: str = "lru"
@@ -70,86 +71,6 @@ class WhatIfPolicy:
         return replace(self, **effective)
 
 
-class MeasuringRunner:
-    """A fault-tolerant synthetic runner that measures the data path.
-
-    Same degraded-read semantics as the chaos harness's runner (a failed
-    ``copen``/``cread`` falls back to the file system), plus per-request
-    virtual-time latency and a local/remote/disk classification of every
-    read — the raw material of the what-if delta.  A *fetch* is a read
-    served from beyond the local region cache; a *refetch* is any fetch
-    of a region after its first (the cost reclaim churn imposes on
-    guests).
-    """
-
-    def __init__(self, platform, params, use_dodo: bool = True,
-                 policy: str = "lru"):
-        from repro.workloads.app import SyntheticRunner
-        self._inner = SyntheticRunner(platform, params, use_dodo=use_dodo,
-                                      policy=policy)
-        self._sim = platform.sim
-        self.degraded = 0
-        self.latencies_s: list[float] = []
-        self.local_reads = 0
-        self.remote_reads = 0
-        self.disk_reads = 0
-        self.fetches = 0
-        self.refetches = 0
-        self._fetched: set[int] = set()
-        self._inner._read = self._read
-        self.run = self._inner.run
-
-    def _classify(self, ridx: int, before: dict) -> None:
-        stats = self._inner.cache.stats
-        deltas = {k: stats.count(k) - before[k]
-                  for k in ("cread.local_hits", "cread.remote_hits",
-                            "cread.disk_reads")}
-        if deltas["cread.remote_hits"] or deltas["cread.disk_reads"]:
-            if deltas["cread.remote_hits"] >= deltas["cread.disk_reads"]:
-                self.remote_reads += 1
-            else:
-                self.disk_reads += 1
-            self.fetches += 1
-            if ridx in self._fetched:
-                self.refetches += 1
-            self._fetched.add(ridx)
-        else:
-            self.local_reads += 1
-
-    def _read(self, offset: int, length: int):
-        inner = self._inner
-        t0 = self._sim.now
-        if not inner.use_dodo:
-            yield inner.fs.read(inner.fh, offset, length)
-            self.latencies_s.append(self._sim.now - t0)
-            self.disk_reads += 1
-            return
-        ridx = offset // inner.region_bytes
-        crd = inner._crds.get(ridx)
-        if crd is None:
-            crd, err = yield from inner.cache.copen(
-                inner.region_bytes, inner.fh.fd, ridx * inner.region_bytes)
-            if err != 0:
-                self.degraded += 1
-                yield inner.fs.read(inner.fh, offset, length)
-                self.latencies_s.append(self._sim.now - t0)
-                return
-            inner._crds[ridx] = crd
-        stats = inner.cache.stats
-        before = {k: stats.count(k)
-                  for k in ("cread.local_hits", "cread.remote_hits",
-                            "cread.disk_reads")}
-        _, err, _ = yield from inner.cache.cread(
-            crd, offset - ridx * inner.region_bytes, length)
-        if err != 0:
-            self.degraded += 1
-            yield inner.fs.read(inner.fh, offset, length)
-            self.latencies_s.append(self._sim.now - t0)
-            return
-        self._classify(ridx, before)
-        self.latencies_s.append(self._sim.now - t0)
-
-
 def _percentile(sorted_values: list[float], q: float) -> float:
     """Nearest-rank percentile over a pre-sorted list (pure Python so
     the result is reproducible to the bit across platforms)."""
@@ -164,11 +85,11 @@ def _round(x: float) -> float:
     return round(float(x), 9)
 
 
-def collect_metrics(runner: MeasuringRunner, result, eventlog,
-                    evictions: int) -> dict:
+def collect_metrics(runner, result, eventlog) -> dict:
     """The canonical metrics dict stored in ``meta.json`` and compared
-    by the delta report.  All floats rounded to 9 decimals so canonical
-    JSON is stable."""
+    by the delta report, from the books of a
+    :class:`~repro.faults.chaos.ChaosRunner`.  All floats rounded to 9
+    decimals so canonical JSON is stable."""
     lat = sorted(runner.latencies_s)
     reclaims = len(eventlog.query(component="rmd",
                                   event="node.reclaimed")) \
@@ -193,7 +114,7 @@ def collect_metrics(runner: MeasuringRunner, result, eventlog,
         "degraded": runner.degraded,
         "reclaims": reclaims,
         "recruits": recruits,
-        "evictions": int(evictions),
+        "evictions": int(runner.cache.stats.count("evictions")),
     }
 
 
@@ -231,6 +152,10 @@ def run_scenario(scenario: str, seed: int = 0,
         raise ValueError(f"unknown scenario {scenario!r}, "
                          f"expected one of {SCENARIOS}")
     policy = policy or WhatIfPolicy()
+    # the set recruitment fields, as IdlePolicy field changes
+    idle = {k: v for k, v in (("window_s", policy.idle_window_s),
+                              ("load_threshold", policy.load_threshold))
+            if v is not None}
     if telemetry is None:
         telemetry = Telemetry(interval_s=interval_s)
     if eventlog is None:
@@ -254,8 +179,9 @@ def run_scenario(scenario: str, seed: int = 0,
     prev_t = install_telemetry(telemetry)
     prev_e = install_eventlog(eventlog)
     try:
-        runner_fn = _SCENARIOS[scenario]
-        out = runner_fn(seed, policy, chaos, horizon_s, auditor)
+        out = build_scenario(scenario, seed, faults=chaos, auditor=auditor,
+                             horizon_s=horizon_s,
+                             policy=policy.replacement, **idle)
         telemetry.finalize()
         insights = build_insights(telemetry, eventlog)
         emit_insights(eventlog, out["sim"], insights)
@@ -264,8 +190,7 @@ def run_scenario(scenario: str, seed: int = 0,
         install_eventlog(prev_e)
         if slo:
             install(prev_tracer)
-    metrics = collect_metrics(out["runner"], out["result"], eventlog,
-                              evictions=out["evictions"])
+    metrics = collect_metrics(out["runner"], out["result"], eventlog)
     meta = {"scenario": scenario, "seed": seed, "chaos": bool(chaos),
             "horizon_s": horizon_s, "interval_s": interval_s,
             "policy": policy.to_meta(), "metrics": metrics}
@@ -281,88 +206,6 @@ def run_scenario(scenario: str, seed: int = 0,
             sli, engine, meta={"scenario": scenario, "seed": seed,
                                "chaos": bool(chaos)})
     return result
-
-
-def _run_fig7(seed, policy: WhatIfPolicy, chaos, horizon_s,
-              auditor) -> dict:
-    from repro.exp.platform import PLATFORM_CONFIG, Platform
-    from repro.faults.chaos import _settle, chaos_config, chaos_platform
-    from repro.faults.generate import random_plan
-    from repro.sim import Simulator
-    from repro.workloads.synthetic import SyntheticParams
-
-    params = chaos_platform()
-    n_mem = params.n_memory_hosts
-    hosts = ["app", "mgr"] + [f"mem{i:02d}" for i in range(n_mem)]
-    plan = None
-    if chaos:
-        plan = random_plan(seed, hosts, horizon_s=horizon_s,
-                           protected=("app", "mgr"), experiment="fig7")
-    sim = Simulator(seed=seed)
-    # the hardening knobs are on with or without faults, so no-chaos and
-    # chaos recordings share baselines
-    config = chaos_config(PLATFORM_CONFIG)
-    platform = Platform(sim, params, dodo=True, config=config,
-                        faults=plan, nemesis_auditor=auditor)
-    runner = MeasuringRunner(platform, SyntheticParams(
-        pattern="hotcold", dataset_bytes=2 * MB, req_size=8192,
-        num_iter=3, compute_s=0.02), policy=policy.replacement)
-    result = sim.run(until=runner.run())
-    if plan is not None:
-        _settle(sim, config, plan)
-    evictions = runner._inner.cache.stats.count("evictions")
-    if auditor is not None and auditor.enabled:
-        platform.audit(auditor, teardown=True)
-    return {"runner": runner, "result": result, "evictions": evictions,
-            "sim": sim}
-
-
-def _run_nondedicated(seed, policy: WhatIfPolicy, chaos, horizon_s,
-                      auditor) -> dict:
-    from repro.cluster.idleness import IdlePolicy
-    from repro.exp.nondedicated import (DesktopPlatform, NonDedicatedParams,
-                                        desktop_config)
-    from repro.faults.chaos import _settle, chaos_config
-    from repro.faults.generate import random_plan
-    from repro.faults.nemesis import Nemesis
-    from repro.sim import Simulator
-    from repro.workloads.synthetic import SyntheticParams
-
-    p = NonDedicatedParams(n_desktops=6, idle_window_s=5.0,
-                           owner_active_mean_s=30.0, seed=seed)
-    idle = IdlePolicy(
-        window_s=policy.idle_window_s if policy.idle_window_s is not None
-        else p.idle_window_s,
-        load_threshold=policy.load_threshold
-        if policy.load_threshold is not None else 0.3)
-    hosts = ["app", "mgr"] + [f"w{i}" for i in range(p.n_desktops)]
-    warmup = idle.window_s + 5.0
-    plan = None
-    if chaos:
-        plan = random_plan(seed, hosts, horizon_s=warmup + horizon_s,
-                           start_s=warmup, protected=("app", "mgr"),
-                           experiment="nondedicated")
-    sim = Simulator(seed=seed)
-    platform = DesktopPlatform(
-        sim, p, config=chaos_config(desktop_config(p), idle_policy=idle))
-    if plan is not None:
-        Nemesis(platform, plan, auditor=auditor).start()
-    sim.run(until=warmup)  # let monitors recruit the idle desktops
-    runner = MeasuringRunner(platform, SyntheticParams(
-        pattern="hotcold", dataset_bytes=p.dataset_bytes,
-        req_size=p.req_size, num_iter=3, compute_s=0.02),
-        policy=policy.replacement)
-    result = sim.run(until=runner.run())
-    if plan is not None:
-        _settle(sim, platform.config, plan)
-    evictions = runner._inner.cache.stats.count("evictions")
-    if auditor is not None and auditor.enabled and plan is not None:
-        platform.audit(auditor, teardown=True)
-    return {"runner": runner, "result": result, "evictions": evictions,
-            "sim": sim}
-
-
-_SCENARIOS = {"fig7": _run_fig7, "nondedicated": _run_nondedicated}
 
 
 # -- record / replay ---------------------------------------------------------

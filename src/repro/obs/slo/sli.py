@@ -33,24 +33,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.obs.breakdown import sweep_window
+from repro.obs.breakdown import stage_of, sweep_window
 from repro.obs.slo.sketch import LatencySketch
-
-#: tracer component -> request stage (anything unknown is client code)
-STAGE_OF = {
-    "lib": "client",
-    "regionlib": "client",
-    "kernel": "client",
-    "rpc": "rpc",
-    "net": "net",
-    "imd": "imd",
-    "rmd": "imd",
-    "manager": "manager",
-    "cmd": "manager",
-    "disk": "disk",
-    "fs": "disk",
-    "pagecache": "disk",
-}
 
 #: presentation (and tie-break) order of the stages
 STAGE_ORDER = ("client", "manager", "rpc", "net", "imd", "disk")
@@ -65,11 +49,6 @@ _LIB_REQUESTS = frozenset(
 _REGIONLIB_REQUESTS = frozenset(("cread", "cwrite"))
 #: bulk-transfer span names that are request roots
 _BULK_REQUESTS = frozenset(("bulk.send", "bulk.recv"))
-
-
-def stage_of(component: str) -> str:
-    """Map a tracer component name to its request stage."""
-    return STAGE_OF.get(component, "client")
 
 
 def request_kind(span) -> Optional[str]:

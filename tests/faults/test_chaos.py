@@ -38,6 +38,10 @@ def test_same_seed_gives_byte_identical_eventlog(experiment):
     assert text.count("\n") == len(a["eventlog"].events) > 0
     assert a["plan"] == b["plan"]
     assert a["result"].elapsed_s == b["result"].elapsed_s
+    # every request is served locally, remotely, from disk or degraded
+    r = a["runner"]
+    assert r.local_reads + r.remote_reads + r.disk_reads + r.degraded \
+        == a["result"].requests == len(r.latencies_s)
 
 
 def test_exported_plan_replays_bit_for_bit(tmp_path):

@@ -38,12 +38,12 @@ def test_changed_replacement_policy_reports_nonzero_delta(tmp_path):
     assert "lru" in format_whatif(doc) and "mru" in format_whatif(doc)
 
 
-def test_measuring_runner_does_not_perturb_the_workload():
-    """The what-if measurement wrapper reads virtual time and counter
+def test_chaos_runner_books_do_not_perturb_the_workload():
+    """The fault-tolerant runner's books read virtual time and counter
     deltas only — workload results stay bit-identical to the plain
     runner's."""
     from repro.exp.platform import MB, Platform, PlatformParams
-    from repro.obs.fleet.whatif import MeasuringRunner
+    from repro.faults.chaos import ChaosRunner
     from repro.sim import Simulator
     from repro.workloads import SyntheticParams, SyntheticRunner
 
@@ -59,7 +59,7 @@ def test_measuring_runner_does_not_perturb_the_workload():
         return (res.elapsed_s, tuple(res.iteration_s), sim.now), runner
 
     plain, _ = run(SyntheticRunner)
-    measured, mr = run(MeasuringRunner)
+    measured, mr = run(ChaosRunner)
     assert measured == plain
     assert mr.latencies_s and mr.fetches > 0
 
@@ -67,6 +67,19 @@ def test_measuring_runner_does_not_perturb_the_workload():
 def test_unknown_scenario_is_rejected():
     with pytest.raises(ValueError, match="unknown scenario"):
         run_scenario("fig9", seed=1)
+
+
+def test_fig7_rejects_recruitment_overrides(tmp_path):
+    """fig7 has no recruitment rule: setting one of its knobs is an
+    error, not a silently ignored no-op."""
+    for field in ("idle_window_s", "load_threshold"):
+        with pytest.raises(ValueError, match="nondedicated only"):
+            run_scenario("fig7", seed=3,
+                         policy=WhatIfPolicy(**{field: 3.0}))
+    out = str(tmp_path / "run")
+    record_run(out, "fig7", seed=3)
+    with pytest.raises(ValueError, match="nondedicated only"):
+        run_whatif(out, idle_window_s=3.0)
 
 
 def test_chaos_scenario_with_insights_passes_audit_raise():

@@ -224,6 +224,23 @@ def test_chaos_run_exports_plan_and_replays_identically(tmp_path, capsys):
     assert replay_path.read_bytes() == first
 
 
+def test_fig7_recruitment_flags_are_one_line_errors(tmp_path, capsys):
+    """fig7 has no recruitment rule, so record and whatif refuse the
+    recruitment flags instead of silently ignoring them."""
+    run_dir = tmp_path / "run"
+    assert main(["record", "fig7", "--seed", "3", "--out", str(run_dir),
+                 "--idle-window", "3.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nondedicated only" in err
+    assert not run_dir.exists()
+    assert main(["record", "fig7", "--seed", "3",
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["whatif", str(run_dir), "--load-threshold", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nondedicated only" in err
+
+
 # -- sweep command ------------------------------------------------------------
 
 def _write_selftest_spec(tmp_path, **extra):
